@@ -93,6 +93,8 @@ class RunConfig:
             raise ShiftLabError(f"unknown expectation {self.expect!r}")
         if self.fmt not in ("json", "markdown"):
             raise ShiftLabError(f"unknown format {self.fmt!r}")
+        if self.threads < 1:
+            raise ShiftLabError(f"--threads must be >= 1, got {self.threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +108,11 @@ def _outcome_row(outcome) -> list:
     return row
 
 
-def _collect_certificates(outcomes) -> list[dict]:
+def _collect_certificates(candidates) -> list[dict]:
     certs = []
     seen = set()
-    for o in outcomes:
-        cert = (o.detail or {}).get("certificate")
-        if cert is None:
+    for cert in candidates:
+        if not cert:
             continue
         key = json.dumps(cert, sort_keys=True)
         if key not in seen:
@@ -128,9 +129,10 @@ def _sweep_payload(report) -> tuple[str, dict, list[dict], int]:
     }
     if "max_witness" in report.stats:
         witnesses["max_witness"] = report.stats["max_witness"]
-    return report.verdict, witnesses, _collect_certificates(report.outcomes), len(
-        report.outcomes
+    certs = _collect_certificates(
+        (o.detail or {}).get("certificate") for o in report.outcomes
     )
+    return report.verdict, witnesses, certs, len(report.outcomes)
 
 
 def _assemble(config_echo: dict, verdict: str, witnesses, certificates, tuples) -> dict:
@@ -248,7 +250,10 @@ def _run_check(config: RunConfig) -> dict:
 def _apply_grid_override(query: FamilyQuery, grid_text: str | None) -> FamilyQuery:
     if not grid_text:
         return query
-    parts = [int(p) for p in grid_text.split(",")]
+    try:
+        parts = [int(p) for p in grid_text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) == 2:
         grid = GridParams(nmax=parts[0], kmax=parts[1])
     elif len(parts) == 3:
@@ -271,14 +276,7 @@ def _run_diagnose(config: RunConfig) -> dict:
     witnesses = [
         [word, rep.verdict, rep.interpretation] for word, rep in report.per_cylinder
     ]
-    certs = []
-    seen = set()
-    for _, rep in report.per_cylinder:
-        if rep.certificate:
-            key = json.dumps(rep.certificate, sort_keys=True)
-            if key not in seen:
-                seen.add(key)
-                certs.append(rep.certificate)
+    certs = _collect_certificates(rep.certificate for _, rep in report.per_cylinder)
     echo = _echo(
         config,
         family=query.literal(),

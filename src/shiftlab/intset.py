@@ -14,6 +14,7 @@ describe subsets of {1, 2, ...} even though windows index from 0.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,7 +99,11 @@ class WindowedSet:
         return out
 
     def __contains__(self, n: object) -> bool:
-        if not isinstance(n, int) or n < 0 or n >= self.horizon:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            return False
+        if n < 0 or n >= self.horizon:
             return False
         if self.horizon >= DENSE_CACHE_MIN:
             return bool(self.mask[n])
@@ -116,15 +121,6 @@ class WindowedSet:
             raise HorizonExhausted(f"cannot restrict to {hi} > horizon {self.horizon}")
         vals = self.values
         return WindowedSet(hi, tuple(vals[vals < hi].tolist()), self.complete)
-
-
-@dataclass(frozen=True)
-class SetStats:
-    """Window statistics; ``max_internal_gap`` is None when |S| < 2."""
-
-    longest_run: int
-    max_internal_gap: int | None
-    window_density: float
 
 
 # ---------------------------------------------------------------------------
@@ -462,46 +458,6 @@ def cross_difference(subtrahend: WindowedSet, minuend: WindowedSet) -> WindowedS
     out = _shifted_or(minuend.mask, subtrahend.members, h)
     out[0] = False
     return WindowedSet.from_mask(out, complete=False)
-
-
-def translate(s: WindowedSet, n: int) -> WindowedSet:
-    """Shift every member by ``n`` and intersect with the naturals.
-
-    The result's horizon is ``s.horizon + n``: for right shifts knowledge
-    extends past the old horizon (everything new there came from known
-    members), for left shifts it shrinks by |n|.
-    """
-    if abs(n) >= s.horizon:
-        raise HorizonExhausted(
-            f"|{n}| >= horizon {s.horizon}: nothing provable about the result"
-        )
-    vals = s.values + n
-    vals = vals[vals >= 1]
-    return WindowedSet(s.horizon + n, tuple(vals.tolist()), s.complete)
-
-
-def stats(s: WindowedSet) -> SetStats:
-    """Longest run, largest internal gap and density of the window."""
-    vals = s.values
-    if len(vals) == 0:
-        return SetStats(0, None, 0.0)
-    if len(vals) == 1:
-        return SetStats(1, None, 1.0 / s.horizon)
-    diffs = np.diff(vals)
-    # longest stretch of consecutive members
-    longest = 1
-    cur = 1
-    for d in diffs.tolist():
-        cur = cur + 1 if d == 1 else 1
-        longest = max(longest, cur)
-    return SetStats(longest, int(diffs.max()), len(vals) / s.horizon)
-
-
-def doubling_conflicts(rule: SetRule, h: int) -> tuple[int, ...]:
-    """All n in [1, h] with both n and 2n members of the rule's set."""
-    m = materialize(rule, 2 * h + 1).mask
-    hits = np.flatnonzero(m[1 : h + 1] & m[2 : 2 * h + 1 : 2]) + 1
-    return tuple(hits.tolist())
 
 
 def doubling_free_certificate(rule: SetRule) -> dict | None:

@@ -15,6 +15,7 @@ forward iterates, and admissibility is translation invariant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,8 +32,8 @@ from .intset import WindowedSet
 from .subshift import (
     DEFAULT_WORD_CAP,
     ShiftRule,
-    TripleRatio,
     Word,
+    affine_gap_window,
     enumerate_admissible_words,
     is_admissible,
     parse_shift_rule,
@@ -101,39 +102,27 @@ def _spacer_candidates(
     """Smallest g in [0, g_max] so that appending 0^g then w stays admissible.
 
     New 1s land at g + length + w.ones; every cross gap to an existing 1 is
-    g plus a constant, so each constraint is one slice of the gap mask.
+    g plus a constant, so the affine gap kernel answers for all g at once.
     """
     if olds.size == 0 or not w.ones:
         return 0
-    ok = np.ones(g_max + 1, dtype=bool)
-    wi = np.asarray(w.ones, dtype=np.int64)
-    d = (length + wi)[None, :] - olds[:, None]
-    forbidden = rule.pair_forbidden_gaps()
-    if forbidden is None:
-        allowed = rule.pair_mask(int(d.max()) + g_max)
-        for dv in np.unique(d):
-            ok &= allowed[int(dv) : int(dv) + g_max + 1]
-    elif forbidden:
-        for f in forbidden:
-            for g in np.unique(f - d):
-                if 0 <= g <= g_max:
-                    ok[int(g)] = False
-    if isinstance(rule, TripleRatio) and olds.size + wi.size >= 3:
-        ratio = rule.p - 1
+    excluded = []
+    ratio = rule.ratio
+    if ratio is not None:
+        # spacers that complete a forbidden triple (old, old, new) or (old, new, new)
         if olds.size >= 2:
             i_lo, i_hi = np.triu_indices(olds.size, k=1)
             anchors = ratio * (olds[i_hi] - olds[i_lo]) + olds[i_hi]
-            for wj in wi:
-                gs = anchors - (length + int(wj))
-                sel = gs[(gs >= 0) & (gs <= g_max)]
-                ok[sel] = False
-        for x in range(len(wi) - 1):
-            for y in range(x + 1, len(wi)):
-                rem = int(wi[y] - wi[x])
-                if rem % ratio == 0:
-                    gs = rem // ratio - length - int(wi[x]) + olds
-                    sel = gs[(gs >= 0) & (gs <= g_max)]
-                    ok[sel] = False
+            for wj in w.ones:
+                gs = anchors - (length + wj)
+                excluded.append(gs[(gs >= 0) & (gs <= g_max)])
+        for x, y in itertools.combinations(w.ones, 2):
+            if (y - x) % ratio == 0:
+                excluded.append((y - x) // ratio - length - x + olds)
+    deltas = np.subtract.outer(np.add(w.ones, length), olds).ravel()
+    ok = affine_gap_window(
+        rule, 1, deltas, 0, g_max, np.concatenate(excluded) if excluded else ()
+    )
     hits = np.flatnonzero(ok)
     return int(hits[0]) if hits.size else None
 
@@ -151,19 +140,19 @@ def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> Generated
         raise ConfigError("l_max must be >= 1")
     if g_max < 0:
         raise ConfigError("g_max must be >= 0")
-    ones: list[int] = []
+    ones = np.zeros(0, dtype=np.int64)
     length = 0
     occurrence: dict[str, int] = {}
     log: list[tuple[str, int]] = []
     for level in range(1, l_max + 1):
         for w in enumerate_admissible_words(rule, level, cap=max(l_max, DEFAULT_WORD_CAP)):
-            g = _spacer_candidates(rule, np.asarray(ones, dtype=np.int64), length, w, g_max)
+            g = _spacer_candidates(rule, ones, length, w, g_max)
             if g is None:
                 raise SpacerExhausted(str(w), g_max)
             base = length + g
             occurrence[str(w)] = base
             log.append((str(w), g))
-            ones.extend(base + i for i in w.ones)
+            ones = np.concatenate((ones, np.asarray(w.ones, dtype=np.int64) + base))
             length = base + w.length
     bits = np.zeros(length, dtype=bool)
     bits[ones] = True

@@ -150,6 +150,40 @@ def test_diagnose_grid_override(capsys):
     assert json.loads(out)["config"]["family"] == "fa(1,2;2,16)"
 
 
+def test_diagnose_bad_grid_is_config_error(capsys):
+    status, out, err = run(
+        capsys,
+        "diagnose", "--rule", "full()", "--point", "champernowne",
+        "--pointlen", "4", "--family", "fa(1,2;3,20)", "--grid", "x,y",
+    )
+    assert (status, out) == (2, "")
+    assert err.count("\n") == 1 and "bad grid 'x,y'" in err
+
+
+def test_threads_must_be_positive(capsys):
+    for threads in ("0", "-3"):
+        status, out, err = run(
+            capsys, "check", "--rule", "full()", "--wordlen", "1",
+            "--horizon", "8", "--threads", threads,
+        )
+        assert (status, out) == (2, "")
+        assert err.count("\n") == 1 and "--threads" in err
+    status, _, _ = run(
+        capsys, "check", "--rule", "full()", "--wordlen", "1",
+        "--horizon", "8", "--threads", "2",
+    )
+    assert status == 0
+
+
+def test_incomplete_spacing_rule_is_config_error(capsys):
+    status, out, err = run(
+        capsys, "check", "--rule", "spacing(diff(ap(1,3)))", "--wordlen", "1",
+        "--horizon", "63",
+    )
+    assert (status, out) == (2, "")
+    assert err.count("\n") == 1
+
+
 def test_diagnose_needs_valid_family(capsys):
     status, _, _ = run(
         capsys, "diagnose", "--rule", "full()", "--family", "sometimes(3)"

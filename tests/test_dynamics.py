@@ -27,9 +27,9 @@ from shiftlab.subshift import (
     Spacing,
     TripleRatio,
     Word,
-    delta_hitting_window,
+    delta_hitting_analysis,
     is_admissible,
-    multi_hitting_window,
+    multi_hitting_analysis,
     superpose,
 )
 from shiftlab.dynamics import (
@@ -143,7 +143,7 @@ def test_multi_agrees_with_multi_hitting_window():
     cyls = sweep_cylinders(rule, 2)
     pairs = list(itertools.product(cyls, repeat=2))
     for tup, out in zip(itertools.product(pairs, repeat=2), rep.outcomes):
-        window = multi_hitting_window(rule, (1, 2), list(tup), 512)
+        window, _ = multi_hitting_analysis(rule, (1, 2), list(tup), 512)
         expected = window.members[0] if window.members else None
         assert out.witness == expected
 
@@ -207,7 +207,7 @@ def test_delta_witnesses_match_delta_window():
     rep = check_delta_a_transitive(rule, (1, 2), 3, 512)
     cyls = sweep_cylinders(rule, 3)
     for tup, out in zip(itertools.product(cyls, repeat=3), rep.outcomes):
-        window = delta_hitting_window(rule, (1, 2), list(tup), 512)
+        window, _ = delta_hitting_analysis(rule, (1, 2), list(tup), 512)
         expected = window.members[0] if window.members else None
         assert out.witness == expected
 
@@ -311,7 +311,7 @@ def test_orbit_closure_windows_match_exactly():
     cyls = sweep_cylinders(rule, 1)
     for tup in itertools.product(cyls, repeat=3):
         lhs, _ = linear_hitting(rule, list(zip(a, tup)), 2000)
-        rhs = delta_hitting_window(rule, a_prime, list(tup), 2000)
+        rhs, _ = delta_hitting_analysis(rule, a_prime, list(tup), 2000)
         assert lhs.members == rhs.members
 
 
@@ -454,7 +454,7 @@ def test_characterization_cross_check_dyadic():
     # the delta window on ([1],[1],[1]) is empty by the parity law, and the
     # same law shows on the generated point: no k has both x_k and x_2k set
     rule = dyadic_rule()
-    window = delta_hitting_window(
+    window, _ = delta_hitting_analysis(
         rule, (1, 2), [Cylinder(W("1"))] * 3, 10**4
     )
     assert window.members == ()

@@ -38,7 +38,6 @@ from shiftlab.intset import (
     congruence_structures,
     difference_set,
     materialize,
-    translate,
 )
 
 EVENS_RULE = ArithmeticProgression(2, 2)
@@ -258,7 +257,7 @@ def test_fa_translation_transport():
     s = materialize(NATS_RULE, 100)
     rep = fa_grid_report(s, (1, 3), GridParams(nmax=3, kmax=5))
     assert rep.verdict == WITNESSED
-    moved = translate(s, 5)
+    moved = {m + 5 for m in s.members}
     for cell, k in rep.witness["witnesses"]:
         for ai, ni in zip((1, 3), cell):
             assert (k * ai + ni + 5) in moved

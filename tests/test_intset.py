@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.errors import CapExceeded, ConfigError, HorizonExhausted
+from shiftlab.errors import CapExceeded, ConfigError
 from shiftlab.intset import (
     ArithmeticProgression,
     CongruenceStructure,
@@ -20,17 +20,20 @@ from shiftlab.intset import (
     congruence_structures,
     cross_difference,
     difference_set,
-    doubling_conflicts,
     doubling_free_certificate,
     materialize,
     parse_set_rule,
-    stats,
-    translate,
 )
 
 
 def ws(members, horizon, complete=True):
     return WindowedSet(horizon, tuple(members), complete)
+
+
+def doubling_conflicts(rule, h):
+    """All n in [1, h] with both n and 2n members of the rule's set."""
+    m = materialize(rule, 2 * h + 1).mask
+    return tuple((np.flatnonzero(m[1 : h + 1] & m[2 : 2 * h + 1 : 2]) + 1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,13 @@ def test_membership_small_and_dense_paths():
     assert 5 in small and 4 not in small and -1 not in small
     big = ws([1, 5000], 10000)
     assert 5000 in big and 4999 not in big
+
+
+def test_membership_accepts_integer_like_values():
+    s = ws([3, 5], 10)
+    assert np.int64(3) in s and np.int32(5) in s and np.int64(4) not in s
+    assert np.int64(5000) in ws([1, 5000], 10000)
+    assert 3.0 not in s and "3" not in s
 
 
 # ---------------------------------------------------------------------------
@@ -141,62 +151,6 @@ def test_cross_difference():
     b = ws([2, 6], 10)
     # {b - a : b in B, a in A, b > a} = {2-1, 6-1, 6-4} = {1, 2, 5}
     assert cross_difference(a, b).members == (1, 2, 5)
-
-
-# ---------------------------------------------------------------------------
-# translate
-
-
-def test_translate_examples():
-    assert translate(ws([2, 5], 10), 3).members == (5, 8)
-    assert translate(ws([2, 5], 10), -3).members == (2,)
-    assert translate(ws([], 10), 5).members == ()
-
-
-def test_translate_horizon_bookkeeping():
-    s = ws([2, 5], 10)
-    assert translate(s, 3).horizon == 13
-    assert translate(s, -3).horizon == 7
-    with pytest.raises(HorizonExhausted):
-        translate(s, 10)
-    with pytest.raises(HorizonExhausted):
-        translate(s, -10)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=80), max_size=25, unique=True),
-    st.integers(min_value=0, max_value=40),
-)
-def test_translate_round_trip(vals, n):
-    s = ws(sorted(vals), 81)
-    back = translate(translate(s, n), -n)
-    cutoff = s.horizon - n
-    want = tuple(v for v in s.members if 1 <= v < cutoff)
-    got = tuple(v for v in back.members if 1 <= v < cutoff)
-    assert got == want
-
-
-# ---------------------------------------------------------------------------
-# stats
-
-
-def test_stats_solid_block():
-    r = stats(ws(range(8, 16), 16))
-    assert r.longest_run == 8
-    assert r.max_internal_gap == 1
-    assert r.window_density == pytest.approx(0.5)
-
-
-def test_stats_dyadic_h16():
-    r = stats(materialize(DyadicBlocks(), 16))
-    assert r.max_internal_gap == 5  # between 3 and 8
-
-
-def test_stats_degenerate():
-    r = stats(ws([], 4))
-    assert r.longest_run == 0 and r.max_internal_gap is None
-    r1 = stats(ws([3], 4))
-    assert r1.longest_run == 1 and r1.max_internal_gap is None
 
 
 # ---------------------------------------------------------------------------

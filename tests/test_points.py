@@ -12,7 +12,13 @@ from shiftlab.errors import (
     PreconditionError,
     SpacerExhausted,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks, Explicit
+from shiftlab.intset import (
+    ArithmeticProgression,
+    DyadicBlocks,
+    Explicit,
+    Naturals,
+    Translate,
+)
 from shiftlab.points import (
     GeneratedPoint,
     build_transitive_point,
@@ -31,6 +37,11 @@ def evens_rule():
 
 def dyadic_rule():
     return Spacing(DyadicBlocks())
+
+
+def shift1_rule():
+    # gaps {2, 3, ...}: one forbidden gap
+    return Spacing(Translate(Naturals(), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +158,7 @@ def test_greedy_covers_all_admissible_words():
         (evens_rule(), 4, 64),
         (dyadic_rule(), 4, 4096),
         (TripleRatio(3), 4, 64),
+        (shift1_rule(), 4, 64),
     ):
         p = build_transitive_point(rule, l_max, g_max)
         text = p.prefix_string()
@@ -157,22 +169,22 @@ def test_greedy_covers_all_admissible_words():
 
 
 def test_greedy_prefix_is_admissible():
-    for rule in (evens_rule(), dyadic_rule(), TripleRatio(3)):
+    for rule in (evens_rule(), dyadic_rule(), TripleRatio(3), shift1_rule()):
         p = build_transitive_point(rule, 4, 4096)
         assert is_admissible(rule, p.word)
 
 
 def test_greedy_spacers_are_minimal():
     # replaying each step, no smaller spacer keeps the prefix admissible
-    rule = dyadic_rule()
-    p = build_transitive_point(rule, 3, 4096)
-    prefix = ""
-    for w, g in p.build_log:
-        for smaller in range(g):
-            candidate = prefix + "0" * smaller + w
-            assert not is_admissible(rule, Word.from_string(candidate))
-        prefix = prefix + "0" * g + w
-    assert prefix == p.prefix_string()
+    for rule in (dyadic_rule(), shift1_rule()):
+        p = build_transitive_point(rule, 3, 4096)
+        prefix = ""
+        for w, g in p.build_log:
+            for smaller in range(g):
+                candidate = prefix + "0" * smaller + w
+                assert not is_admissible(rule, Word.from_string(candidate))
+            prefix = prefix + "0" * g + w
+        assert prefix == p.prefix_string()
 
 
 def test_greedy_is_deterministic():

@@ -7,6 +7,8 @@ ground truth for the zero-fill exactness claim.
 """
 
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,25 +20,30 @@ from shiftlab.errors import (
     HorizonExhausted,
     PreconditionError,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks, materialize
+from shiftlab import subshift
+from shiftlab.intset import (
+    ArithmeticProgression,
+    DifferenceOf,
+    DyadicBlocks,
+    Naturals,
+    Translate,
+    Union,
+    materialize,
+)
 from shiftlab.subshift import (
     Cylinder,
     FullShift,
     Spacing,
     TripleRatio,
     Word,
-    build_rn,
     cyl,
     delta_hitting_analysis,
-    delta_hitting_window,
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_window,
     is_admissible,
     multi_hitting_analysis,
-    multi_hitting_window,
     parse_shift_rule,
-    spectrum,
     superpose,
 )
 
@@ -44,6 +51,8 @@ FULL = FullShift()
 EVENS = Spacing(ArithmeticProgression(2, 2))
 DYADIC = Spacing(DyadicBlocks())
 TR3 = TripleRatio(3)
+# gaps {2, 3, ...}: a spacing rule with a single forbidden gap
+SHIFT1 = Spacing(Translate(Naturals(), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +75,21 @@ ORACLE_PAIR = {
     "evens": lambda g: g % 2 == 0,
     "dyadic": _dyadic_member,
     "tr3": lambda g: g != 1,
+    "shift1": lambda g: g >= 2,
 }
 ORACLE_TRIPLE = {
     "full": lambda g1, g2: True,
     "evens": lambda g1, g2: True,
     "dyadic": lambda g1, g2: True,
     "tr3": lambda g1, g2: g2 != 2 * g1,
+    "shift1": lambda g1, g2: True,
 }
-RULES = {"full": FULL, "evens": EVENS, "dyadic": DYADIC, "tr3": TR3}
+RULES = {"full": FULL, "evens": EVENS, "dyadic": DYADIC, "tr3": TR3, "shift1": SHIFT1}
+
+
+def spectrum(w: Word) -> frozenset[int]:
+    """All pairwise gaps between 1-positions (0 excluded)."""
+    return frozenset(b - a for a, b in itertools.combinations(w.ones, 2))
 
 
 def oracle_word_admissible(name: str, ones) -> bool:
@@ -198,6 +214,15 @@ def test_vectorized_admissibility_agrees_on_long_words():
         assert is_admissible(rule, w) == oracle_word_admissible(name, ones)
     # and an admissible long word exercising the accepting big path
     assert is_admissible(EVENS, Word(8000, tuple(range(0, 8000, 2))))
+    # a single forbidden gap in a long word, on a spacing rule
+    assert is_admissible(SHIFT1, Word(8000, tuple(range(0, 8000, 2))))
+    assert not is_admissible(SHIFT1, Word(8000, tuple(range(0, 7000, 2)) + (6999,)))
+    # gaps 1..20 forbidden, so 70 ones are read row by row; only the last two
+    # sit too close
+    far = parse_shift_rule("spacing(shift(nat(),20))")
+    ones = tuple(range(0, 1750, 25))
+    assert is_admissible(far, Word(1750, ones))
+    assert not is_admissible(far, Word(1750, ones[:-1] + (ones[-2] + 10,)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +266,7 @@ def test_hitting_window_rejects_bad_inputs():
 
 
 def test_hitting_window_exhaustive_oracle_single_ones():
-    for name in ("full", "evens", "dyadic"):
+    for name in ("full", "evens", "dyadic", "shift1"):
         got = hitting_window(RULES[name], cyl("1"), cyl("1"), 18)
         assert set(got.members) == oracle_hitting(name, "1", "1", 18), name
 
@@ -251,6 +276,7 @@ def test_hitting_window_exhaustive_oracle_longer_words():
         ("evens", "101", "1"),
         ("evens", "1", "101"),
         ("dyadic", "100000001", "101"),
+        ("shift1", "101", "1001"),
     ]
     for name, u, v in cases:
         got = hitting_window(RULES[name], cyl(u), cyl(v), 14)
@@ -266,7 +292,7 @@ def test_hitting_window_tr3_matches_oracle():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["full", "evens", "dyadic", "tr3"]),
+    st.sampled_from(sorted(RULES)),
     st.text(alphabet="01", min_size=1, max_size=4),
     st.text(alphabet="01", min_size=1, max_size=4),
     st.integers(min_value=1, max_value=10),
@@ -294,10 +320,10 @@ def test_two_sided_hitting_translation_invariance():
 
 def test_multi_hitting_examples():
     pairs = [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))]
-    assert multi_hitting_window(FULL, (1, 2), pairs, 3).members == (1, 2, 3)
-    got = multi_hitting_window(DYADIC, (2, 3), pairs, 10)
+    assert multi_hitting_analysis(FULL, (1, 2), pairs, 3)[0].members == (1, 2, 3)
+    got = multi_hitting_analysis(DYADIC, (2, 3), pairs, 10)[0]
     assert 4 in got.members
-    assert multi_hitting_window(DYADIC, (1, 2), pairs, 200).members == ()
+    assert multi_hitting_analysis(DYADIC, (1, 2), pairs, 200)[0].members == ()
 
 
 def test_multi_hitting_cross_check_identity():
@@ -306,9 +332,10 @@ def test_multi_hitting_cross_check_identity():
         (DYADIC, (2, 3), [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))]),
         (EVENS, (1, 3), [(cyl("101"), cyl("1")), (cyl("1"), cyl("101"))]),
         (TR3, (1, 2), [(cyl("101"), cyl("1")), (cyl("1001"), cyl("1"))]),
+        (SHIFT1, (2, 3), [(cyl("101"), cyl("1")), (cyl("1"), cyl("1001"))]),
     ]
     for rule, a, pairs in cases:
-        got = set(multi_hitting_window(rule, a, pairs, h).members)
+        got = set(multi_hitting_analysis(rule, a, pairs, h)[0].members)
         expect = set(range(1, h + 1))
         for ai, (u, v) in zip(a, pairs):
             per = hitting_window(rule, u, v, ai * h)
@@ -319,27 +346,27 @@ def test_multi_hitting_cross_check_identity():
 def test_multi_hitting_validates_vector():
     pairs = [(cyl("1"), cyl("1"))]
     with pytest.raises(PreconditionError):
-        multi_hitting_window(FULL, (1, 2), pairs, 5)
+        multi_hitting_analysis(FULL, (1, 2), pairs, 5)
     with pytest.raises(PreconditionError):
-        multi_hitting_window(FULL, (0,), pairs, 5)
+        multi_hitting_analysis(FULL, (0,), pairs, 5)
 
 
 def test_delta_hitting_examples():
     cyls = [cyl("1"), cyl("1"), cyl("1")]
-    assert delta_hitting_window(FULL, (1, 2), cyls, 3).members == (1, 2, 3)
-    assert delta_hitting_window(DYADIC, (1, 2), cyls, 300).members == ()
-    assert delta_hitting_window(TR3, (1, 3), cyls, 300).members == ()
+    assert delta_hitting_analysis(FULL, (1, 2), cyls, 3)[0].members == (1, 2, 3)
+    assert delta_hitting_analysis(DYADIC, (1, 2), cyls, 300)[0].members == ()
+    assert delta_hitting_analysis(TR3, (1, 3), cyls, 300)[0].members == ()
     with pytest.raises(PreconditionError):
-        delta_hitting_window(FULL, (1, 2), cyls[:2], 5)
+        delta_hitting_analysis(FULL, (1, 2), cyls[:2], 5)
 
 
 def test_delta_hitting_exhaustive_oracle():
     # delta with r=1 is a plain hitting window; check the r=2 full-shift case
     # and an evens case against first principles: positions {0, n, 2n} need
     # all three gaps n, n, 2n even.
-    got = delta_hitting_window(EVENS, (1, 2), [cyl("1")] * 3, 12)
+    got, _ = delta_hitting_analysis(EVENS, (1, 2), [cyl("1")] * 3, 12)
     assert got.members == (2, 4, 6, 8, 10, 12)
-    got = delta_hitting_window(TR3, (1, 2), [cyl("1")] * 3, 12)
+    got, _ = delta_hitting_analysis(TR3, (1, 2), [cyl("1")] * 3, 12)
     # positions {0, n, 2n}: g2 = n = ... forbidden iff n = 2n i.e. never; but
     # gap 1 kills n = 1
     assert got.members == tuple(range(2, 13))
@@ -380,35 +407,6 @@ def test_constant_gap_certificate():
     assert window.members == ()
     cert = emptiness_certificate(EVENS, window, analysis, 30)
     assert cert is not None and cert["name"] == "constant-gap"
-
-
-# ---------------------------------------------------------------------------
-# build_rn
-
-
-def test_build_rn_examples():
-    one = Word.from_string("1")
-    got = build_rn(one, one, one, 3, 0)
-    assert (got.offset, got.ones) == (0, (0, 3, 6))
-    assert is_admissible(TR3, got.word)
-    got = build_rn(one, one, one, 2, 0)
-    assert got.ones == (0, 2, 4)
-    assert is_admissible(TR3, got.word)
-    with pytest.raises(PreconditionError):
-        build_rn(one, one, one, 1, 0)
-    with pytest.raises(PreconditionError):
-        build_rn(one, Word.from_string("111"), one, 5, 0)
-
-
-def test_build_rn_centered_blocks():
-    u = Word.from_string("101")
-    v = Word.from_string("100")
-    w = Word.from_string("001")
-    got = build_rn(u, v, w, 5, 1)
-    # blocks centered at 0, 5 and 10: u spans [-1,1], v [4,6], w [9,11]
-    assert got.offset == -1
-    assert got.ones == (-1, 1, 4, 11)
-    assert got.word.length == 2 * 5 + 2 * 1 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +463,94 @@ def test_large_window_spacing_consistency():
     h = 5000
     got = hitting_window(DYADIC, cyl("1"), cyl("1"), h)
     assert np.array_equal(got.mask, materialize(DyadicBlocks(), h + 1).mask)
+
+
+# ---------------------------------------------------------------------------
+# gap masks
+
+
+def test_spacing_rejects_incomplete_set_rules():
+    # A difference set is only sound on its window, so a gap mask cut from
+    # it would grow with the bound asked for and a verdict would depend on
+    # earlier queries.
+    for text in ("spacing(diff(ap(1,3)))", "spacing(union(evens(), diff(dyadic())))"):
+        with pytest.raises(ConfigError, match="complete"):
+            parse_shift_rule(text)
+    with pytest.raises(ConfigError):
+        Spacing(Union((Naturals(), DifferenceOf(ArithmeticProgression(1, 3)))))
+    # a complete rule answers the same on a fresh rule and after a wide mask
+    fresh = hitting_window(parse_shift_rule("spacing(ap(1,3))"), cyl("1"), cyl("1"), 63)
+    warm = parse_shift_rule("spacing(ap(1,3))")
+    warm.pair_mask(200)
+    assert hitting_window(warm, cyl("1"), cyl("1"), 63).members == fresh.members
+
+
+def test_rule_gap_masks_and_ratios():
+    assert FULL.pair_mask(5)[1:6].all() and FULL.ratio is None
+    assert TR3.pair_mask(5)[1:6].tolist() == [False, True, True, True, True]
+    assert TR3.ratio == 2 and TripleRatio(5).ratio == 4
+    assert EVENS.pair_mask(6)[1:7].tolist() == [False, True, False, True, False, True]
+    assert SHIFT1.pair_mask(4)[1:5].tolist() == [False, True, True, True]
+    assert EVENS.ratio is None and SHIFT1.ratio is None
+
+
+def test_gap_mask_materialized_once_across_threads(monkeypatch):
+    calls = []
+    real = subshift.materialize
+
+    def slow_materialize(rule, horizon):
+        calls.append(horizon)
+        time.sleep(0.05)
+        return real(rule, horizon)
+
+    monkeypatch.setattr(subshift, "materialize", slow_materialize)
+    rule = Spacing(DyadicBlocks())
+    masks = []
+    workers = [
+        threading.Thread(target=lambda: masks.append(rule.pair_mask(1000)))
+        for _ in range(4)
+    ]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(calls) == 1
+    assert len(masks) == 4 and all(m is masks[0] for m in masks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(RULES) + ["sparse5"]),
+    # a few constraints slice the mask; many solve the forbidden gaps of the
+    # sparse rules (tr3, shift1, sparse5) instead
+    st.one_of(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 12)), max_size=5),
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 12)), min_size=40, max_size=60
+        ),
+    ),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=400),
+    st.lists(st.integers(min_value=0, max_value=450), max_size=3),
+)
+def test_affine_gap_window_matches_direct_scan(name, starts, lo, width, excluded):
+    # sparse5 forbids the gaps {1, 4, 5, 6, 7}
+    rule = RULES.get(name) or parse_shift_rule("spacing(union(range(2,3),ap(8,1)))")
+    allowed = ORACLE_PAIR.get(name, lambda g: g in (2, 3) or g >= 8)
+    # each constraint's first gap (at n = lo) is small, where gaps are forbidden
+    constraints = [(c, first - c * lo) for c, first in starts]
+    hi = lo + width
+    got = subshift.affine_gap_window(
+        rule,
+        np.array([c for c, _ in constraints], dtype=np.int64),
+        np.array([d for _, d in constraints], dtype=np.int64),
+        lo,
+        hi,
+        excluded,
+    )
+    want = [
+        n not in excluded and all(allowed(c * n + d) for c, d in constraints)
+        for n in range(lo, hi + 1)
+    ]
+    assert got.tolist() == want
