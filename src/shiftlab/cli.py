@@ -15,12 +15,14 @@ import argparse
 import difflib
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ShiftLabError
+from .errors import ConfigError, ShiftLabError
 from .families import (
     REFUTED,
     UNDETERMINED,
@@ -195,19 +197,26 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
         tag = f"{rule.literal()}|l{config.pointlen}|g{config.spacer_max}"
         digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
         cache_path = Path(config.cache_dir) / f"point-{digest}.json"
-        if cache_path.exists():
-            payload = json.loads(cache_path.read_text())
-            point = decode_point(payload)
-            if (
-                point.rule_literal == rule.literal()
-                and point.scale == config.pointlen
-                and point.g_max == config.spacer_max
-            ):
-                return point
+        try:
+            point = decode_point(json.loads(cache_path.read_text()))
+        except (FileNotFoundError, ValueError, ConfigError):
+            # a missing, truncated or corrupt entry is a miss: rebuild it
+            point = None
+        if (
+            point is not None
+            and point.rule_literal == rule.literal()
+            and point.scale == config.pointlen
+            and point.g_max == config.spacer_max
+        ):
+            return point
     point = build_transitive_point(rule, config.pointlen, config.spacer_max)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(render_json(encode_point(point)))
+        # write beside the entry and rename, so readers never see a partial file
+        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as f:
+            f.write(render_json(encode_point(point)))
+        os.replace(tmp, cache_path)
     return point
 
 
@@ -224,17 +233,15 @@ def _echo(config: RunConfig, **extra) -> dict:
 def _run_check(config: RunConfig) -> dict:
     rule = parse_shift_rule(config.rule)
     if config.delta:
+        if not config.vector:
+            raise ShiftLabError("check --delta needs --vector")
         report = check_delta_a_transitive(
-            rule, config.vector, config.wordlen, config.horizon, config.threads
+            rule, config.vector, config.wordlen, config.horizon
         )
     elif config.vector:
-        report = check_a_transitive(
-            rule, config.vector, config.wordlen, config.horizon, config.threads
-        )
+        report = check_a_transitive(rule, config.vector, config.wordlen, config.horizon)
     else:
-        report = check_transitive(
-            rule, config.wordlen, config.horizon, config.mode, config.threads
-        )
+        report = check_transitive(rule, config.wordlen, config.horizon, config.mode)
     verdict, witnesses, certs, tuples = _sweep_payload(report)
     echo = _echo(
         config,
@@ -322,7 +329,7 @@ def _run_verify(config: RunConfig) -> dict:
         raise ShiftLabError(f"--prop {config.prop} needs --vector")
     if config.prop == "orbit-closure":
         report = verify_orbit_closure_prop(
-            rule, config.vector, config.wordlen, config.horizon, config.threads
+            rule, config.vector, config.wordlen, config.horizon
         )
         disagreeing = [
             [list(o.words), o.lhs, o.rhs]
@@ -348,8 +355,7 @@ def _run_verify(config: RunConfig) -> dict:
         return _assemble(echo, verdict, witnesses, [], len(report.table))
     if config.prop == "delta-product":
         report = verify_delta_product(
-            rule, config.vector, config.depth, config.wordlen, config.horizon,
-            config.threads,
+            rule, config.vector, config.depth, config.wordlen, config.horizon
         )
         verdict, witnesses, certs, tuples = _sweep_payload(report)
         echo = _echo(

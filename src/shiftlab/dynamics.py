@@ -2,20 +2,19 @@
 
 Every checker enumerates ordered tuples of admissible words in
 length-then-lexicographic order and records the smallest witness per
-tuple, so reports are deterministic and stable across runs and across
-thread counts.  A FailsOnWindow verdict states only that no witness
-exists below the horizon; it is promoted to a refutation nowhere in this
-module — callers attach structural emptiness certificates where the
-hitting kernel can supply one.
+tuple, so reports are deterministic and stable across runs.  A
+FailsOnWindow verdict states only that no witness exists below the
+horizon; it is promoted to a refutation nowhere in this module — callers
+attach structural emptiness certificates where the hitting kernel can
+supply one.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .families import (
     finfty_grid_report,
     nabla_report,
 )
-from .intset import WindowedSet, cross_difference
+from .intset import WindowedSet, cross_difference, first_member
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     Cylinder,
@@ -44,6 +43,7 @@ from .subshift import (
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_window,
+    is_admissible,
     linear_hitting,
     multi_hitting_analysis,
 )
@@ -109,13 +109,6 @@ def _close(
     )
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _first_run(mask: np.ndarray, run: int) -> int | None:
     """Least n with mask[n : n+run] all true, ignoring index 0."""
     ok = mask.copy()
@@ -123,12 +116,11 @@ def _first_run(mask: np.ndarray, run: int) -> int | None:
     for i in range(1, run):
         ok[: mask.size - i] &= mask[i:]
         ok[mask.size - i :] = False
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else None
+    return first_member(ok)
 
 
 def check_transitive(
-    rule: ShiftRule, length: int, h: int, mode: str = "plain", threads: int = 1
+    rule: ShiftRule, length: int, h: int, mode: str = "plain"
 ) -> SweepReport:
     """Sweep ordered pairs of admissible words through the hitting kernel.
 
@@ -149,8 +141,7 @@ def check_transitive(
         window = hitting_window(rule, u, v, h)
         mask = window.mask
         if mode == "plain":
-            members = window.members
-            return SweepOutcome(words, members[0] if members else None)
+            return SweepOutcome(words, window.first())
         if run is not None:
             start = _first_run(mask, run)
             detail = {"run_length": run}
@@ -163,12 +154,12 @@ def check_transitive(
             return SweepOutcome(words, None, {"last_missing": last})
         return SweepOutcome(words, last + 1, {"n0": last + 1})
 
-    outcomes = _map_ordered(probe, pairs, threads)
+    outcomes = [probe(pair) for pair in pairs]
     return _close(rule, "check_transitive", {"l": length, "h": h, "mode": mode}, outcomes)
 
 
 def check_a_transitive(
-    rule: ShiftRule, a: Sequence[int], length: int, h: int, threads: int = 1
+    rule: ShiftRule, a: Sequence[int], length: int, h: int
 ) -> SweepReport:
     """Multi-transitivity sweep: every r-tuple of cylinder pairs must admit
     a common n with each pair (u_i, v_i) hit at stride a_i."""
@@ -191,15 +182,15 @@ def check_a_transitive(
         combined = pair_masks[0][(words[0], words[1])].copy()
         for i in range(1, len(a)):
             combined &= pair_masks[i][(words[2 * i], words[2 * i + 1])]
-        hits = np.flatnonzero(combined)
-        if hits.size:
-            return SweepOutcome(words, int(hits[0]))
+        first = first_member(combined)
+        if first is not None:
+            return SweepOutcome(words, first)
         window, analyses = multi_hitting_analysis(rule, a, list(tup), h)
         cert = emptiness_certificate(rule, window, analyses, h)
         detail = {"certificate": cert} if cert is not None else None
         return SweepOutcome(words, None, detail)
 
-    outcomes = _map_ordered(probe, list(itertools.product(keys, repeat=len(a))), threads)
+    outcomes = [probe(tup) for tup in itertools.product(keys, repeat=len(a))]
     return _close(
         rule, "check_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -215,7 +206,7 @@ def _require_strictly_increasing(a: tuple[int, ...]) -> None:
 
 
 def check_delta_a_transitive(
-    rule: ShiftRule, a: Sequence[int], length: int, h: int, threads: int = 1
+    rule: ShiftRule, a: Sequence[int], length: int, h: int
 ) -> SweepReport:
     """Delta-transitivity sweep: every (r+1)-tuple (U_0..U_r) must admit an
     n with U_0 at 0 and U_i at a_i*n jointly admissible.
@@ -232,15 +223,14 @@ def check_delta_a_transitive(
     def probe(tup: tuple) -> SweepOutcome:
         words = tuple(str(c.word) for c in tup)
         window, analyses = delta_hitting_analysis(rule, a, list(tup), h)
-        members = window.members
-        if members:
-            return SweepOutcome(words, members[0])
+        first = window.first()
+        if first is not None:
+            return SweepOutcome(words, first)
         cert = emptiness_certificate(rule, window, analyses, h)
         detail = {"certificate": cert} if cert is not None else None
         return SweepOutcome(words, None, detail)
 
-    tuples = list(itertools.product(cylinders, repeat=len(a) + 1))
-    outcomes = _map_ordered(probe, tuples, threads)
+    outcomes = [probe(tup) for tup in itertools.product(cylinders, repeat=len(a) + 1)]
     return _close(
         rule, "check_delta_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -298,20 +288,24 @@ def verify_nuv(
         raise PreconditionError(
             f"prefix length {len(point)} is shorter than the horizon {h}"
         )
+    if not is_admissible(rule, point.word):
+        raise PreconditionError(
+            f"the point's prefix is not admissible under {rule.literal()}, so its "
+            "entering-time differences need not be hitting times"
+        )
     _check_scale(rule, point, max(u.length, v.length))
     wu = entering_window(rule, point, u, h - u.length)
     wv = entering_window(rule, point, v, h - v.length)
     diffs = cross_difference(wu, wv).restrict(h_cmp + 1)
     window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp)
-    b = set(diffs.members) - {0}
-    a_set = set(window.members)
-    stray = sorted(b - a_set)
-    if stray:
+    # both windows cover [0, h_cmp]; neither ever holds 0
+    stray = np.flatnonzero(diffs.mask & ~window.mask)
+    if stray.size:
         raise AssertionError(
-            f"entering-time differences {stray[:8]} missing from the hitting "
-            "window; the inclusion is exact and this indicates a kernel bug"
+            f"entering-time differences {stray[:8].tolist()} missing from the "
+            "hitting window; the inclusion is exact and this indicates a kernel bug"
         )
-    mismatches = tuple(sorted(a_set - b))
+    mismatches = tuple(np.flatnonzero(window.mask & ~diffs.mask).tolist())
     return NuvReport(
         rule.literal(),
         str(u),
@@ -320,7 +314,7 @@ def verify_nuv(
         h_cmp,
         not mismatches,
         mismatches,
-        {"window": len(a_set), "differences": len(b)},
+        {"window": len(window), "differences": len(diffs)},
     )
 
 
@@ -343,7 +337,7 @@ class OrbitClosureReport:
 
 
 def verify_orbit_closure_prop(
-    rule: ShiftRule, a: Sequence[int], length: int, h: int, threads: int = 1
+    rule: ShiftRule, a: Sequence[int], length: int, h: int
 ) -> OrbitClosureReport:
     """Compare diagonal-orbit density against the reduced delta sweep.
 
@@ -363,13 +357,9 @@ def verify_orbit_closure_prop(
         words = tuple(str(c.word) for c in tup)
         lhs_window, _ = linear_hitting(rule, list(zip(a, tup)), h)
         rhs_window, _ = delta_hitting_analysis(rule, a_prime, list(tup), h)
-        lhs = lhs_window.members[0] if lhs_window.members else None
-        rhs = rhs_window.members[0] if rhs_window.members else None
-        return OrbitOutcome(words, lhs, rhs)
+        return OrbitOutcome(words, lhs_window.first(), rhs_window.first())
 
-    table = _map_ordered(
-        probe, list(itertools.product(cylinders, repeat=len(a))), threads
-    )
+    table = [probe(tup) for tup in itertools.product(cylinders, repeat=len(a))]
     agree = all((o.lhs is None) == (o.rhs is None) for o in table)
     return OrbitClosureReport(
         rule.literal(), a, a_prime, length, h, agree, tuple(table)
@@ -382,7 +372,6 @@ def verify_delta_product(
     n: int,
     length: int,
     h: int,
-    threads: int = 1,
 ) -> SweepReport:
     """Delta-transitivity of the strided product system, swept directly.
 
@@ -427,8 +416,7 @@ def verify_delta_product(
             combined = unique_masks[key[0]].copy()
             for mid in key[1:]:
                 combined &= unique_masks[mid]
-            hits = np.flatnonzero(combined)
-            witness_cache[key] = int(hits[0]) if hits.size else None
+            witness_cache[key] = first_member(combined)
         return SweepOutcome(words, witness_cache[key])
 
     families = list(itertools.product(range(len(tuples)), repeat=len(a)))

@@ -1,10 +1,10 @@
 """Windowed calculus for subsets of the positive integers.
 
 Everything in this module is horizon-materialized: a :class:`WindowedSet`
-carries the finite window ``[0, horizon)`` on which its membership list is
-exact.  Operations recompute the horizon so downstream predicates cannot
+is a boolean mask over the finite window ``[0, horizon)``, exact on that
+window.  Operations recompute the horizon so downstream predicates cannot
 silently claim more than the window supports.  Difference sets are the one
-deliberate exception — every listed member is genuine, but absence is only
+deliberate exception — every member they hold is genuine, but absence is only
 horizon-relative — and they are flagged ``complete=False`` so that report
 layers downgrade would-be refutations accordingly.
 
@@ -24,14 +24,10 @@ import numpy as np
 
 from .errors import CapExceeded, ConfigError, HorizonExhausted
 
-# Membership queries switch from a frozenset to the dense bit array once the
-# window is at least this long.
-DENSE_CACHE_MIN = 4096
-
 # Maximum nesting depth for composite set rules.
 MAX_RULE_DEPTH = 16
 
-# len(members) * horizon guard for the bit-fold difference kernel (~1 GiB of
+# members * horizon guard for the bit-fold difference kernel (~1 GiB of
 # word traffic).  Larger requests fail loudly instead of thrashing.
 _DIFFERENCE_COST_CAP = 1 << 34
 
@@ -43,84 +39,66 @@ DEFAULT_MODULI = (2, 3, 4, 5, 6, 8, 12)
 # windowed sets
 
 
-@dataclass(frozen=True)
+def first_member(mask: np.ndarray) -> int | None:
+    """The least n with ``mask[n]``, or None; builds no index array."""
+    hit = int(np.argmax(mask))
+    return hit if mask[hit] else None
+
+
+@dataclass(frozen=True, eq=False)
 class WindowedSet:
     """A finite window onto a subset of the naturals.
 
-    ``members`` lists elements of ``[0, horizon)`` in strictly increasing
-    order.  ``complete`` records whether that listing is exhaustive on the
-    window; difference sets only promise soundness (every member genuine).
+    ``mask[n]`` says whether n is a member, for n in ``[0, horizon)``; the
+    horizon is the mask's length.  ``complete`` records whether the mask is
+    exhaustive on the window; difference sets only promise soundness (every
+    member genuine).  Build windows with :meth:`from_mask`.
     """
 
-    horizon: int
-    members: tuple[int, ...]
+    mask: np.ndarray
     complete: bool = True
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        m = self.members
-        if not m:
-            return
-        if m[0] < 0 or m[-1] >= self.horizon:
-            raise ConfigError(
-                f"members must lie in [0, {self.horizon}), got range "
-                f"[{m[0]}, {m[-1]}]"
-            )
-        if len(m) > 1024:
-            arr = np.fromiter(m, np.int64, len(m))
-            if not (np.diff(arr) > 0).all():
-                raise ConfigError("members must be strictly increasing")
-            self.__dict__["values"] = arr
-        elif any(b <= a for a, b in zip(m, m[1:])):
-            raise ConfigError("members must be strictly increasing")
+        if self.mask.size < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.mask.size}")
+        self.mask.setflags(write=False)
+
+    @property
+    def horizon(self) -> int:
+        return self.mask.size
 
     @cached_property
     def values(self) -> np.ndarray:
-        return np.fromiter(self.members, np.int64, len(self.members))
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        dense = np.zeros(self.horizon, dtype=bool)
-        if self.members:
-            dense[self.values] = True
-        return dense
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        """The members in increasing order."""
+        return np.flatnonzero(self.mask)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, complete: bool = True) -> "WindowedSet":
-        vals = np.flatnonzero(mask)
-        out = cls(len(mask), tuple(vals.tolist()), complete)
-        out.__dict__["values"] = vals.astype(np.int64)
-        out.__dict__["mask"] = mask.astype(bool, copy=False)
-        return out
+        """Wrap ``mask`` (not copied when already boolean) and make it read-only."""
+        return cls(np.asarray(mask, dtype=bool), complete)
 
     def __contains__(self, n: object) -> bool:
         try:
             n = operator.index(n)
         except TypeError:
             return False
-        if n < 0 or n >= self.horizon:
-            return False
-        if self.horizon >= DENSE_CACHE_MIN:
-            return bool(self.mask[n])
-        return n in self._member_set
+        return 0 <= n < self.mask.size and bool(self.mask[n])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
+        return iter(self.values.tolist())
+
+    def first(self) -> int | None:
+        """The least member, or None when the window is empty."""
+        return first_member(self.mask)
 
     def restrict(self, hi: int) -> "WindowedSet":
         """Intersect with [0, hi); ``hi`` must not exceed the horizon."""
         if hi > self.horizon:
             raise HorizonExhausted(f"cannot restrict to {hi} > horizon {self.horizon}")
-        vals = self.values
-        return WindowedSet(hi, tuple(vals[vals < hi].tolist()), self.complete)
+        return WindowedSet.from_mask(self.mask[: max(hi, 0)], self.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +418,12 @@ def difference_set(s: WindowedSet) -> WindowedSet:
     Sound but not complete: members beyond the horizon could contribute
     further small differences, so the result is flagged ``complete=False``.
     """
-    if len(s.members) * s.horizon > _DIFFERENCE_COST_CAP:
+    if len(s) * s.horizon > _DIFFERENCE_COST_CAP:
         raise CapExceeded(
-            f"difference set of {len(s.members)} members at horizon "
+            f"difference set of {len(s)} members at horizon "
             f"{s.horizon} exceeds the kernel cost cap"
         )
-    out = _shifted_or(s.mask, s.members, s.horizon)
+    out = _shifted_or(s.mask, s.values.tolist(), s.horizon)
     out[0] = False
     return WindowedSet.from_mask(out, complete=False)
 
@@ -453,9 +431,9 @@ def difference_set(s: WindowedSet) -> WindowedSet:
 def cross_difference(subtrahend: WindowedSet, minuend: WindowedSet) -> WindowedSet:
     """{b - a : b in minuend, a in subtrahend, b > a}; sound, not complete."""
     h = minuend.horizon
-    if len(subtrahend.members) * h > _DIFFERENCE_COST_CAP:
+    if len(subtrahend) * h > _DIFFERENCE_COST_CAP:
         raise CapExceeded("cross difference exceeds the kernel cost cap")
-    out = _shifted_or(minuend.mask, subtrahend.members, h)
+    out = _shifted_or(minuend.mask, subtrahend.values.tolist(), h)
     out[0] = False
     return WindowedSet.from_mask(out, complete=False)
 

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     SpacerExhausted,
 )
-from .intset import WindowedSet
+from .intset import WindowedSet, first_member
 from .subshift import (
     DEFAULT_WORD_CAP,
     ShiftRule,
@@ -120,11 +120,10 @@ def _spacer_candidates(
             if (y - x) % ratio == 0:
                 excluded.append((y - x) // ratio - length - x + olds)
     deltas = np.subtract.outer(np.add(w.ones, length), olds).ravel()
-    ok = affine_gap_window(
-        rule, 1, deltas, 0, g_max, np.concatenate(excluded) if excluded else ()
-    )
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else None
+    ok = np.ones(g_max + 1, dtype=bool)
+    excluded = np.concatenate(excluded) if excluded else ()
+    affine_gap_window(rule, 1, deltas, 0, ok, excluded)
+    return first_member(ok)
 
 
 def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> GeneratedPoint:
@@ -246,7 +245,7 @@ def decode_point(payload: dict) -> GeneratedPoint:
         runs = [int(x) for x in payload["rle"]]
         log = tuple((str(w), int(g)) for w, g in payload["build_log"])
         scale = int(payload["scale"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"corrupt point payload: {exc}") from exc
     if sum(runs) != length or any(r < 0 for r in runs):
         raise ConfigError("corrupt point payload: run lengths do not add up")

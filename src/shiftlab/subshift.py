@@ -27,7 +27,7 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -134,6 +134,8 @@ class ShiftRule:
     three 1s may have consecutive gaps g1, g2 with g2 = ratio * g1.
     """
 
+    last_forbidden_gap: ClassVar[float] = float("inf")  # inf: no bound known
+
     @property
     def sidedness(self) -> str:
         return ONE_SIDED
@@ -152,6 +154,8 @@ class ShiftRule:
 
 @dataclass(frozen=True)
 class FullShift(ShiftRule):
+    last_forbidden_gap = 0
+
     def pair_mask(self, bound: int) -> np.ndarray:
         return _cached_mask(self, bound, lambda h: np.ones(h, dtype=bool))
 
@@ -192,6 +196,7 @@ class TripleRatio(ShiftRule):
     """Two-sided rule forbidding adjacent 1s and gap pairs with g2 = (p-1)*g1."""
 
     p: int
+    last_forbidden_gap = 1
 
     def __post_init__(self) -> None:
         if self.p <= 2:
@@ -385,20 +390,22 @@ def affine_gap_window(
     coefs: np.ndarray | int,
     deltas: np.ndarray,
     lo: int,
-    hi: int,
+    ok: np.ndarray,
     exclusions: np.ndarray | Sequence[int] = (),
-) -> np.ndarray:
-    """ok[n - lo] for n in [lo, hi]: every gap coef*n + delta allowed, n not excluded.
+) -> None:
+    """Clear ok[n - lo] where n is excluded or some gap coef*n + delta is forbidden.
 
-    ``coefs`` (each >= 1; an int or an array) pair with ``deltas``.  With no
-    forbidden gap in the range the constraints reach they all pass; otherwise
-    the cheaper of two loops runs: solve each forbidden gap for n, or slice
-    the mask once per distinct constraint.
+    ``ok`` covers n in [lo, lo + ok.size); it is written in place so that a
+    caller can pass a slice of its own mask.  ``coefs`` (each >= 1; an int or
+    an array) pair with ``deltas``.  With no forbidden gap in the range the
+    constraints reach (none past the rule's last) they all pass; otherwise the
+    cheaper of two loops runs: solve each forbidden gap for n, or slice the
+    mask once per distinct constraint.
     """
-    ok = np.ones(hi - lo + 1, dtype=bool)
+    hi = lo + ok.size - 1
     deltas = np.asarray(deltas, dtype=np.int64)
-    if deltas.size:
-        g_lo = int((coefs * lo + deltas).min())
+    g_lo = int((coefs * lo + deltas).min()) if deltas.size else 0
+    if deltas.size and g_lo <= rule.last_forbidden_gap:
         g_hi = int((coefs * hi + deltas).max())
         allowed = rule.pair_mask(g_hi)[g_lo : g_hi + 1]
         forbidden = allowed.size - np.count_nonzero(allowed)
@@ -415,7 +422,6 @@ def affine_gap_window(
                 ok &= allowed[start : start + c * (hi - lo) + 1 : c]
     if len(exclusions):
         _strike(ok, lo, np.asarray(exclusions, dtype=np.int64), 1)
-    return ok
 
 
 def linear_hitting(
@@ -486,9 +492,9 @@ def linear_hitting(
 
     if n_star < h and not (constant_violations or all_n_triples):
         cd = np.array(sorted(pair_constraints), dtype=np.int64).reshape(-1, 2)
-        mask[n_star + 1 :] = affine_gap_window(
-            rule, cd[:, 0], cd[:, 1], n_star + 1, h, point_exclusions
-        )
+        tail = mask[n_star + 1 :]
+        tail[:] = True
+        affine_gap_window(rule, cd[:, 0], cd[:, 1], n_star + 1, tail, point_exclusions)
 
     if constant_violations:
         mask[:] = False
@@ -554,7 +560,7 @@ def emptiness_certificate(
     gaps against a doubling-free spacing set (parity law), an identically
     forbidden gap-pair (triple law), or an n-independent clash.
     """
-    if window.members:
+    if len(window):
         return None
     items = [analyses] if isinstance(analyses, HitAnalysis) else list(analyses)
     if any(a.n_star > h for a in items):

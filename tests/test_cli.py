@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import PRESETS, RunConfig, main, render_json, run_config
 from shiftlab.errors import ShiftLabError
@@ -213,6 +215,15 @@ def test_verify_orbit_closure(capsys):
     assert json.loads(out)["verdict"] == "Witnessed"
 
 
+def test_check_delta_needs_vector(capsys):
+    status, out, err = run(
+        capsys, "check", "--rule", "full()", "--delta", "--wordlen", "1",
+        "--horizon", "8",
+    )
+    assert (status, out) == (2, "")
+    assert err.count("\n") == 1 and "--vector" in err
+
+
 def test_verify_needs_vector(capsys):
     status, _, err = run(
         capsys, "verify", "--rule", "full()", "--prop", "orbit-closure"
@@ -242,6 +253,94 @@ def test_point_cache_round_trip(tmp_path, capsys):
     assert len(cached) == 1
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_point_cache_survives_bad_file(tmp_path, capsys):
+    argv = [
+        "diagnose", "--rule", "spacing(dyadic())", "--family", "nabla(thick(2))",
+        "--point", "greedy", "--pointlen", "3", "--spacer-max", "4096",
+        "--wordlen", "1", "--horizon", "30",
+    ]
+    _, cold, _ = run(capsys, *argv)
+    cache = tmp_path / "cache"
+    run(capsys, *argv, "--cache-dir", str(cache))
+    (entry,) = cache.glob("point-*.json")
+    whole = entry.read_bytes()
+    # a truncated entry, and well-formed JSON with a field of the wrong type
+    for bad in (whole[:40], whole.replace(b'"spacing(dyadic())"', b"5")):
+        assert bad != whole
+        entry.write_bytes(bad)
+        status, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+        assert (status, out, err) == (0, cold, "")
+        assert entry.read_bytes() == whole
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any argv from the grammar exits 0, 1 or 2 and never raises
+
+GOOD_RULES = ["full()", "spacing(dyadic())", "spacing(evens())", "tripleratio(3)"]
+BAD_RULES = ["spacing(", "nope()", "tripleratio(1)", "spacing(diff(ap(1,3)))", ""]
+rules = st.sampled_from(GOOD_RULES * 2 + BAD_RULES)
+vectors = st.sampled_from(["", "0", "0,1", "1,1", "1,2", "2,3", "x"])
+horizons = st.integers(-1, 64).map(lambda h: ("--horizon", str(h)))
+sizes = [
+    ("--wordlen", st.integers(-1, 3).map(str)),
+    ("--threads", st.sampled_from(["1", "2", "0", "-1"])),
+]
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [x for p in ps for x in p])
+
+
+points = st.sampled_from(["champernowne", "periodic:0", "periodic:10", "greedy", "x"])
+check_argv = _argv(
+    "check",
+    rules.map(lambda r: ("--rule", r)),
+    _opt("--vector", vectors),
+    st.sampled_from([(), ("--delta",)]),
+    _opt("--mode", st.sampled_from(["plain", "thick(2)", "cofinite_from", "never"])),
+    horizons,
+    *[_opt(*s) for s in sizes],
+)
+diagnose_argv = _argv(
+    "diagnose",
+    rules.map(lambda r: ("--rule", r)),
+    st.sampled_from(["nabla(thick(2))", "fsa(1,2;2,1)", "fa(1,2;3,20)", "sometimes(3)"])
+    .map(lambda f: ("--family", f)),
+    _opt("--point", points),
+    _opt("--pointlen", st.sampled_from(["1", "2", "3"])),
+    _opt("--grid", st.sampled_from(["2,16", "2,16,1", "x,y", "1"])),
+    horizons,
+    *[_opt(*s) for s in sizes],
+)
+verify_argv = _argv(
+    "verify",
+    rules.map(lambda r: ("--rule", r)),
+    st.sampled_from(["nuv", "orbit-closure", "delta-product", "x"])
+    .map(lambda p: ("--prop", p)),
+    _opt("--vector", vectors),
+    _opt("--point", points),
+    _opt("--pointlen", st.sampled_from(["1", "2", "3"])),
+    st.just(("--depth", "1")),
+    horizons,
+    *[_opt(*s) for s in sizes],
+)
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(check_argv, diagnose_argv, verify_argv))
+def test_cli_argv_fuzz_never_raises(capsys, argv):
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

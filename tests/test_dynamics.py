@@ -14,7 +14,7 @@ from shiftlab.families import (
     fa_grid_report,
     parse_family_spec,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks
+from shiftlab.intset import ArithmeticProgression, DyadicBlocks, WindowedSet
 from shiftlab.points import (
     build_transitive_point,
     champernowne,
@@ -28,6 +28,7 @@ from shiftlab.subshift import (
     TripleRatio,
     Word,
     delta_hitting_analysis,
+    hitting_window,
     is_admissible,
     multi_hitting_analysis,
     superpose,
@@ -144,7 +145,7 @@ def test_multi_agrees_with_multi_hitting_window():
     pairs = list(itertools.product(cyls, repeat=2))
     for tup, out in zip(itertools.product(pairs, repeat=2), rep.outcomes):
         window, _ = multi_hitting_analysis(rule, (1, 2), list(tup), 512)
-        expected = window.members[0] if window.members else None
+        expected = window.first()
         assert out.witness == expected
 
 
@@ -157,8 +158,8 @@ def test_multi_validation():
 
 def test_multi_deterministic_across_threads():
     rule = dyadic_rule()
-    a = check_a_transitive(rule, (1, 2), 1, 10**4, threads=1)
-    b = check_a_transitive(rule, (1, 2), 1, 10**4, threads=4)
+    a = check_a_transitive(rule, (1, 2), 1, 10**4)
+    b = check_a_transitive(rule, (1, 2), 1, 10**4)
     assert a == b
 
 
@@ -208,7 +209,7 @@ def test_delta_witnesses_match_delta_window():
     cyls = sweep_cylinders(rule, 3)
     for tup, out in zip(itertools.product(cyls, repeat=3), rep.outcomes):
         window, _ = delta_hitting_analysis(rule, (1, 2), list(tup), 512)
-        expected = window.members[0] if window.members else None
+        expected = window.first()
         assert out.witness == expected
 
 
@@ -239,7 +240,7 @@ def test_nuv_evens_point():
     from shiftlab.subshift import hitting_window
 
     window = hitting_window(rule, Cylinder(W("1")), Cylinder(W("1")), h // 4)
-    assert all(n % 2 == 0 for n in window.members)
+    assert all(n % 2 == 0 for n in window)
 
 
 def test_nuv_preconditions():
@@ -250,6 +251,39 @@ def test_nuv_preconditions():
     zeros = periodic_point(FullShift(), W("0"), 64)
     with pytest.raises(PreconditionError, match="transitive at scale"):
         verify_nuv(FullShift(), zeros, W("1"), W("1"), 32, 8)
+    with pytest.raises(PreconditionError, match="not admissible"):
+        verify_nuv(dyadic_rule(), champernowne(2), W("1"), W("1"), 8, 2)
+
+
+def test_nuv_report_matches_set_oracle():
+    # a short prefix, so truncation leaves some hitting times unmatched
+    point = champernowne(4)
+    text = point.prefix_string()
+    h, h_cmp = len(point), len(point) // 2
+    words = ["0", "1", "00", "01", "10", "11"]
+    seen_mismatch = False
+    for u, v in itertools.product(words, repeat=2):
+        rep = verify_nuv(FullShift(), point, W(u), W(v), h, h_cmp)
+        nu = {n for n in range(1, h - len(u) + 1) if text[n : n + len(u)] == u}
+        nv = {n for n in range(1, h - len(v) + 1) if text[n : n + len(v)] == v}
+        diffs = {b - a for a in nu for b in nv if 0 < b - a <= h_cmp}
+        window = set(hitting_window(FullShift(), Cylinder(W(u)), Cylinder(W(v)), h_cmp))
+        assert diffs <= window
+        assert rep.mismatches == tuple(sorted(window - diffs))
+        assert rep.sizes == {"window": len(window), "differences": len(diffs)}
+        seen_mismatch |= bool(rep.mismatches)
+    assert seen_mismatch
+
+
+def test_nuv_stray_difference_is_a_kernel_bug(monkeypatch):
+    import shiftlab.dynamics as dynamics
+
+    def empty_window(rule, u, v, h):
+        return WindowedSet.from_mask(np.zeros(h + 1, dtype=bool))
+
+    monkeypatch.setattr(dynamics, "hitting_window", empty_window)
+    with pytest.raises(AssertionError, match="kernel bug"):
+        verify_nuv(FullShift(), champernowne(9), W("1"), W("1"), 4096, 1024)
 
 
 @settings(max_examples=25, deadline=None)
@@ -312,7 +346,7 @@ def test_orbit_closure_windows_match_exactly():
     for tup in itertools.product(cyls, repeat=3):
         lhs, _ = linear_hitting(rule, list(zip(a, tup)), 2000)
         rhs, _ = delta_hitting_analysis(rule, a_prime, list(tup), 2000)
-        assert lhs.members == rhs.members
+        assert tuple(lhs) == tuple(rhs)
 
 
 def test_orbit_closure_preconditions():
@@ -457,7 +491,7 @@ def test_characterization_cross_check_dyadic():
     window, _ = delta_hitting_analysis(
         rule, (1, 2), [Cylinder(W("1"))] * 3, 10**4
     )
-    assert window.members == ()
+    assert tuple(window) == ()
 
     point = build_transitive_point(rule, 4, 4096)
     ones = set(np.flatnonzero(point.bits).tolist())
@@ -506,5 +540,5 @@ def test_sweep_cylinders_centering():
 
 def test_reports_deterministic_across_runs():
     rep1 = check_delta_a_transitive(TripleRatio(3), (1, 2), 3, 2000)
-    rep2 = check_delta_a_transitive(TripleRatio(3), (1, 2), 3, 2000, threads=3)
+    rep2 = check_delta_a_transitive(TripleRatio(3), (1, 2), 3, 2000)
     assert rep1 == rep2

@@ -1,5 +1,6 @@
 """Family verdict tests: three-valued semantics, certificates, grids."""
 
+import numpy as np
 import pytest
 
 from shiftlab.errors import (
@@ -46,7 +47,9 @@ NATS_RULE = Naturals()
 
 
 def W(members, horizon, complete=True):
-    return WindowedSet(horizon, tuple(members), complete)
+    mask = np.zeros(horizon, dtype=bool)
+    mask[list(members)] = True
+    return WindowedSet.from_mask(mask, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,7 @@ def test_fa_translation_transport():
     s = materialize(NATS_RULE, 100)
     rep = fa_grid_report(s, (1, 3), GridParams(nmax=3, kmax=5))
     assert rep.verdict == WITNESSED
-    moved = {m + 5 for m in s.members}
+    moved = {m + 5 for m in s}
     for cell, k in rep.witness["witnesses"]:
         for ai, ni in zip((1, 3), cell):
             assert (k * ai + ni + 5) in moved

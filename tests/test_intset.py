@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.errors import CapExceeded, ConfigError
+from shiftlab.errors import CapExceeded, ConfigError, HorizonExhausted
 from shiftlab.intset import (
     ArithmeticProgression,
     CongruenceStructure,
@@ -27,7 +29,9 @@ from shiftlab.intset import (
 
 
 def ws(members, horizon, complete=True):
-    return WindowedSet(horizon, tuple(members), complete)
+    mask = np.zeros(horizon, dtype=bool)
+    mask[list(members)] = True
+    return WindowedSet.from_mask(mask, complete)
 
 
 def doubling_conflicts(rule, h):
@@ -59,13 +63,67 @@ def oracle_dyadic(h):
 
 def test_members_must_be_increasing_and_bounded():
     with pytest.raises(ConfigError):
-        ws([3, 2], 10)
-    with pytest.raises(ConfigError):
-        ws([2, 2], 10)
-    with pytest.raises(ConfigError):
-        ws([2, 10], 10)
-    with pytest.raises(ConfigError):
         ws([], 0)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 80).flatmap(
+        lambda h: st.tuples(
+            st.one_of(
+                st.lists(st.booleans(), min_size=h, max_size=h),
+                st.just([False] * h),
+                st.just([True] * h),
+            ),
+            st.integers(-3, h),
+        )
+    ),
+    st.integers(-5, 90),
+    st.booleans(),
+)
+def test_window_agrees_with_set_oracle(mask_and_cut, n, complete):
+    bits, hi = mask_and_cut
+    oracle = {i for i, b in enumerate(bits) if b}
+    w = WindowedSet.from_mask(np.array(bits, dtype=bool), complete)
+    assert w.horizon == len(bits)
+    assert len(w) == len(oracle)
+    assert list(w) == sorted(oracle)
+    assert w.values.tolist() == sorted(oracle)
+    assert w.first() == min(oracle, default=None)
+    assert all(type(v) is int for v in w)
+    for probe in (n, np.int64(n), np.int32(n)):
+        assert (probe in w) == (n in oracle)
+    if hi >= 1:
+        cut = w.restrict(hi)
+        assert cut.horizon == hi and cut.complete == w.complete
+        assert set(cut) == {v for v in oracle if v < hi}
+    else:
+        with pytest.raises(ConfigError):
+            w.restrict(hi)
+    with pytest.raises(HorizonExhausted):
+        w.restrict(len(bits) + 1)
+
+
+def test_window_mask_is_read_only():
+    w = ws([1, 3], 5)
+    with pytest.raises(ValueError):
+        w.mask[2] = True
+    with pytest.raises(ValueError):
+        w.restrict(4).mask[0] = True
+    assert tuple(w) == (1, 3)
+
+
+def test_dense_window_allocates_only_its_mask():
+    mask = np.ones(10**6, dtype=bool)
+    tracemalloc.start()
+    try:
+        w = WindowedSet.from_mask(mask)
+        assert len(w) == 10**6 and w.first() == 0
+        assert 999_999 in w and 10**6 not in w
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_membership_small_and_dense_paths():
@@ -87,21 +145,21 @@ def test_membership_accepts_integer_like_values():
 
 
 def test_materialize_range():
-    assert materialize(Range(2, 3), 10).members == (2, 3)
+    assert tuple(materialize(Range(2, 3), 10)) == (2, 3)
 
 
 def test_materialize_dyadic_blocks_h20():
     got = materialize(DyadicBlocks(), 20)
-    assert got.members == (2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
-    assert got.members == tuple(oracle_dyadic(20))
+    assert tuple(got) == (2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
+    assert tuple(got) == tuple(oracle_dyadic(20))
 
 
 def test_materialize_progression():
-    assert materialize(ArithmeticProgression(1, 2), 8).members == (1, 3, 5, 7)
+    assert tuple(materialize(ArithmeticProgression(1, 2), 8)) == (1, 3, 5, 7)
 
 
 def test_materialize_naturals_excludes_zero():
-    assert materialize(Naturals(), 5).members == (1, 2, 3, 4)
+    assert tuple(materialize(Naturals(), 5)) == (1, 2, 3, 4)
 
 
 def test_materialize_rejects_bad_rules():
@@ -126,13 +184,13 @@ def test_nesting_cap():
 
 
 def test_difference_examples():
-    assert difference_set(ws([1, 3, 6], 7)).members == (2, 3, 5)
-    assert difference_set(ws([5], 7)).members == ()
+    assert tuple(difference_set(ws([1, 3, 6], 7))) == (2, 3, 5)
+    assert tuple(difference_set(ws([5], 7))) == ()
     evens = materialize(ArithmeticProgression(2, 2), 11)
-    assert evens.members == (2, 4, 6, 8, 10)
+    assert tuple(evens) == (2, 4, 6, 8, 10)
     d = difference_set(evens)
-    assert d.members == (2, 4, 6, 8)
-    assert d.members == tuple(oracle_difference(evens.members))
+    assert tuple(d) == (2, 4, 6, 8)
+    assert tuple(d) == tuple(oracle_difference(evens))
     assert not d.complete
     assert d.horizon == evens.horizon
 
@@ -143,14 +201,14 @@ def test_difference_examples():
 def test_difference_matches_pairwise_oracle(vals):
     members = tuple(sorted(vals))
     s = ws(members, 201)
-    assert difference_set(s).members == tuple(oracle_difference(members))
+    assert tuple(difference_set(s)) == tuple(oracle_difference(members))
 
 
 def test_cross_difference():
     a = ws([1, 4], 10)
     b = ws([2, 6], 10)
     # {b - a : b in B, a in A, b > a} = {2-1, 6-1, 6-4} = {1, 2, 5}
-    assert cross_difference(a, b).members == (1, 2, 5)
+    assert tuple(cross_difference(a, b)) == (1, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +290,14 @@ def test_window_monotonicity(rule, h1, extra):
     h2 = h1 + extra
     small = materialize(rule, h1)
     large = materialize(rule, h2)
-    assert small.members == tuple(v for v in large.members if v < h1)
+    assert tuple(small) == tuple(v for v in large if v < h1)
     assert small.complete and large.complete
 
 
 def test_difference_rule_is_sound_but_not_monotone():
     rule = DifferenceOf(Explicit((2, 4)))
-    assert materialize(rule, 3).members == ()
-    assert materialize(rule, 5).members == (2,)  # new small member appears
+    assert tuple(materialize(rule, 3)) == ()
+    assert tuple(materialize(rule, 5)) == (2,)  # new small member appears
     assert not materialize(rule, 5).complete
 
 
@@ -248,7 +306,7 @@ def test_difference_rule_is_sound_but_not_monotone():
 def test_difference_of_rule_matches_op(rule, h):
     via_rule = materialize(DifferenceOf(rule), h)
     via_op = difference_set(materialize(rule, h))
-    assert via_rule.members == via_op.members
+    assert tuple(via_rule) == tuple(via_op)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +316,7 @@ def test_difference_of_rule_matches_op(rule, h):
 def test_dyadic_parity_law_on_window():
     assert doubling_conflicts(DyadicBlocks(), 5000) == ()
     s = materialize(DyadicBlocks(), 5000)
-    inside = [m for m in s.members if 2 * m < 5000]
+    inside = [m for m in s if 2 * m < 5000]
     assert inside and all(2 * m not in s for m in inside)
 
 
@@ -284,7 +342,7 @@ def test_congruences_sound_on_window():
     rule = Union((ArithmeticProgression(3, 6), Explicit((1, 13))))
     s = materialize(rule, 400)
     for c in congruence_structures(rule):
-        assert all(v % c.modulus in c.residues for v in s.members)
+        assert all(v % c.modulus in c.residues for v in s)
 
 
 def test_congruences_unknown_for_dyadic():

@@ -175,7 +175,7 @@ def test_is_admissible_examples():
 @given(st.text(alphabet="01", min_size=1, max_size=12))
 def test_spectrum_characterizes_spacing(text):
     w = Word.from_string(text)
-    members = set(materialize(DyadicBlocks(), max(len(text) + 1, 2)).members)
+    members = set(materialize(DyadicBlocks(), max(len(text) + 1, 2)))
     assert is_admissible(DYADIC, w) == (spectrum(w) <= members)
 
 
@@ -249,11 +249,11 @@ def test_superpose_zero_fills_uncovered_gap():
 
 
 def test_hitting_window_examples():
-    assert hitting_window(FULL, cyl("1"), cyl("1"), 5).members == (1, 2, 3, 4, 5)
-    assert hitting_window(EVENS, cyl("1"), cyl("1"), 6).members == (2, 4, 6)
+    assert tuple(hitting_window(FULL, cyl("1"), cyl("1"), 5)) == (1, 2, 3, 4, 5)
+    assert tuple(hitting_window(EVENS, cyl("1"), cyl("1"), 6)) == (2, 4, 6)
     got = hitting_window(DYADIC, cyl("1"), cyl("1"), 16)
-    assert got.members == (2, 3) + tuple(range(8, 16))
-    assert set(got.members) == set(materialize(DyadicBlocks(), 17).members)
+    assert tuple(got) == (2, 3) + tuple(range(8, 16))
+    assert set(got) == set(materialize(DyadicBlocks(), 17))
 
 
 def test_hitting_window_rejects_bad_inputs():
@@ -268,7 +268,7 @@ def test_hitting_window_rejects_bad_inputs():
 def test_hitting_window_exhaustive_oracle_single_ones():
     for name in ("full", "evens", "dyadic", "shift1"):
         got = hitting_window(RULES[name], cyl("1"), cyl("1"), 18)
-        assert set(got.members) == oracle_hitting(name, "1", "1", 18), name
+        assert set(got) == oracle_hitting(name, "1", "1", 18), name
 
 
 def test_hitting_window_exhaustive_oracle_longer_words():
@@ -280,14 +280,14 @@ def test_hitting_window_exhaustive_oracle_longer_words():
     ]
     for name, u, v in cases:
         got = hitting_window(RULES[name], cyl(u), cyl(v), 14)
-        assert set(got.members) == oracle_hitting(name, u, v, 14), (name, u, v)
+        assert set(got) == oracle_hitting(name, u, v, 14), (name, u, v)
 
 
 def test_hitting_window_tr3_matches_oracle():
     got = hitting_window(TR3, cyl("1"), cyl("1"), 12)
-    assert set(got.members) == oracle_hitting("tr3", "1", "1", 12)
+    assert set(got) == oracle_hitting("tr3", "1", "1", 12)
     got = hitting_window(TR3, cyl("101"), cyl("1001"), 11)
-    assert set(got.members) == oracle_hitting("tr3", "101", "1001", 11)
+    assert set(got) == oracle_hitting("tr3", "101", "1001", 11)
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,7 +303,7 @@ def test_hitting_window_matches_exhaustive_oracle(name, u, v, h):
     if not (is_admissible(rule, wu) and is_admissible(rule, wv)):
         return
     got = hitting_window(rule, Cylinder(wu), Cylinder(wv), h)
-    assert set(got.members) == oracle_hitting(name, u, v, h)
+    assert set(got) == oracle_hitting(name, u, v, h)
     assert got.horizon == h + 1 and got.complete
 
 
@@ -311,7 +311,7 @@ def test_two_sided_hitting_translation_invariance():
     base = hitting_window(TR3, cyl("101"), cyl("1001"), 20)
     for shift in (-3, 2, 7):
         moved = hitting_window(TR3, cyl("101", shift), cyl("1001", shift), 20)
-        assert moved.members == base.members
+        assert tuple(moved) == tuple(base)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +320,10 @@ def test_two_sided_hitting_translation_invariance():
 
 def test_multi_hitting_examples():
     pairs = [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))]
-    assert multi_hitting_analysis(FULL, (1, 2), pairs, 3)[0].members == (1, 2, 3)
+    assert tuple(multi_hitting_analysis(FULL, (1, 2), pairs, 3)[0]) == (1, 2, 3)
     got = multi_hitting_analysis(DYADIC, (2, 3), pairs, 10)[0]
-    assert 4 in got.members
-    assert multi_hitting_analysis(DYADIC, (1, 2), pairs, 200)[0].members == ()
+    assert 4 in got
+    assert tuple(multi_hitting_analysis(DYADIC, (1, 2), pairs, 200)[0]) == ()
 
 
 def test_multi_hitting_cross_check_identity():
@@ -335,7 +335,7 @@ def test_multi_hitting_cross_check_identity():
         (SHIFT1, (2, 3), [(cyl("101"), cyl("1")), (cyl("1"), cyl("1001"))]),
     ]
     for rule, a, pairs in cases:
-        got = set(multi_hitting_analysis(rule, a, pairs, h)[0].members)
+        got = set(multi_hitting_analysis(rule, a, pairs, h)[0])
         expect = set(range(1, h + 1))
         for ai, (u, v) in zip(a, pairs):
             per = hitting_window(rule, u, v, ai * h)
@@ -353,9 +353,9 @@ def test_multi_hitting_validates_vector():
 
 def test_delta_hitting_examples():
     cyls = [cyl("1"), cyl("1"), cyl("1")]
-    assert delta_hitting_analysis(FULL, (1, 2), cyls, 3)[0].members == (1, 2, 3)
-    assert delta_hitting_analysis(DYADIC, (1, 2), cyls, 300)[0].members == ()
-    assert delta_hitting_analysis(TR3, (1, 3), cyls, 300)[0].members == ()
+    assert tuple(delta_hitting_analysis(FULL, (1, 2), cyls, 3)[0]) == (1, 2, 3)
+    assert tuple(delta_hitting_analysis(DYADIC, (1, 2), cyls, 300)[0]) == ()
+    assert tuple(delta_hitting_analysis(TR3, (1, 3), cyls, 300)[0]) == ()
     with pytest.raises(PreconditionError):
         delta_hitting_analysis(FULL, (1, 2), cyls[:2], 5)
 
@@ -365,11 +365,11 @@ def test_delta_hitting_exhaustive_oracle():
     # and an evens case against first principles: positions {0, n, 2n} need
     # all three gaps n, n, 2n even.
     got, _ = delta_hitting_analysis(EVENS, (1, 2), [cyl("1")] * 3, 12)
-    assert got.members == (2, 4, 6, 8, 10, 12)
+    assert tuple(got) == (2, 4, 6, 8, 10, 12)
     got, _ = delta_hitting_analysis(TR3, (1, 2), [cyl("1")] * 3, 12)
     # positions {0, n, 2n}: g2 = n = ... forbidden iff n = 2n i.e. never; but
     # gap 1 kills n = 1
-    assert got.members == tuple(range(2, 13))
+    assert tuple(got) == tuple(range(2, 13))
 
 
 def test_delta_certificates():
@@ -395,7 +395,7 @@ def test_delta_certificates():
     assert emptiness_certificate(DYADIC, window, analyses, 50) is None
     # … or when emptiness is only observed, not structural
     window, analysis = delta_hitting_analysis(EVENS, (1, 2), [cyl("101")] * 3, 7)
-    if not window.members:
+    if not len(window):
         assert emptiness_certificate(EVENS, window, analysis, 7) is None
 
 
@@ -404,7 +404,7 @@ def test_constant_gap_certificate():
     window, analysis = delta_hitting_analysis(
         EVENS, (2, 2), [cyl("1"), cyl("1"), cyl("001")], 30
     )
-    assert window.members == ()
+    assert tuple(window) == ()
     cert = emptiness_certificate(EVENS, window, analysis, 30)
     assert cert is not None and cert["name"] == "constant-gap"
 
@@ -482,7 +482,7 @@ def test_spacing_rejects_incomplete_set_rules():
     fresh = hitting_window(parse_shift_rule("spacing(ap(1,3))"), cyl("1"), cyl("1"), 63)
     warm = parse_shift_rule("spacing(ap(1,3))")
     warm.pair_mask(200)
-    assert hitting_window(warm, cyl("1"), cyl("1"), 63).members == fresh.members
+    assert tuple(hitting_window(warm, cyl("1"), cyl("1"), 63)) == tuple(fresh)
 
 
 def test_rule_gap_masks_and_ratios():
@@ -492,6 +492,10 @@ def test_rule_gap_masks_and_ratios():
     assert EVENS.pair_mask(6)[1:7].tolist() == [False, True, False, True, False, True]
     assert SHIFT1.pair_mask(4)[1:5].tolist() == [False, True, True, True]
     assert EVENS.ratio is None and SHIFT1.ratio is None
+    # every gap past a rule's last forbidden gap is allowed
+    for rule in (FULL, TR3, TripleRatio(7)):
+        assert rule.pair_mask(300)[rule.last_forbidden_gap + 1 : 301].all()
+    assert EVENS.last_forbidden_gap == SHIFT1.last_forbidden_gap == float("inf")
 
 
 def test_gap_mask_materialized_once_across_threads(monkeypatch):
@@ -541,12 +545,13 @@ def test_affine_gap_window_matches_direct_scan(name, starts, lo, width, excluded
     # each constraint's first gap (at n = lo) is small, where gaps are forbidden
     constraints = [(c, first - c * lo) for c, first in starts]
     hi = lo + width
-    got = subshift.affine_gap_window(
+    got = np.ones(width + 1, dtype=bool)
+    subshift.affine_gap_window(
         rule,
         np.array([c for c, _ in constraints], dtype=np.int64),
         np.array([d for _, d in constraints], dtype=np.int64),
         lo,
-        hi,
+        got,
         excluded,
     )
     want = [
