@@ -11,10 +11,11 @@ supply one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,16 +37,17 @@ from .intset import WindowedSet, cross_difference, first_member
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     Cylinder,
+    HitAnalysis,
     ShiftRule,
     TWO_SIDED,
     Word,
-    delta_hitting_analysis,
+    chunk_rows,
     emptiness_certificate,
     enumerate_admissible_words,
+    hitting_batches,
     hitting_window,
     is_admissible,
-    linear_hitting,
-    multi_hitting_analysis,
+    unique_rows,
 )
 
 FAILS_ON_WINDOW = "FailsOnWindow"
@@ -109,14 +111,45 @@ def _close(
     )
 
 
+def _index_tuples(width: int, k: int) -> np.ndarray:
+    """Every k-tuple over range(width), one per row, in lexicographic order."""
+    return np.indices((width,) * k).reshape(k, -1).T
+
+
+def _hits(
+    rule: ShiftRule,
+    coefs: Sequence[int],
+    cylinders: list[Cylinder],
+    h: int,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[list[int], int, np.ndarray, Callable[[], HitAnalysis]]]:
+    """(tuple, least witness or 0, window mask, its analysis) for every tuple of
+    cylinders placed at ``coefs``, in lexicographic order, a kernel chunk at a time."""
+    tuples = _index_tuples(len(cylinders), len(coefs))
+    for start, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h, out):
+        firsts = masks.argmax(axis=1).tolist()  # 0 is never a member: 0 means none
+        for i, tup in enumerate(tuples[start : start + len(masks)].tolist()):
+            yield tup, firsts[i], masks[i], functools.partial(analysis, i)
+
+
 def _first_run(mask: np.ndarray, run: int) -> int | None:
     """Least n with mask[n : n+run] all true, ignoring index 0."""
     ok = mask.copy()
     ok[0] = False
-    for i in range(1, run):
-        ok[: mask.size - i] &= mask[i:]
-        ok[mask.size - i :] = False
+    for i in range(1, min(run, mask.size)):
+        ok[:-i] &= mask[i:]
+        ok[-i:] = False
     return first_member(ok)
+
+
+def _outcome(
+    rule: ShiftRule, words: tuple[str, ...], first: int, mask: np.ndarray, analyses, h: int
+) -> SweepOutcome:
+    """A tuple's outcome; an empty window carries its certificate when one exists."""
+    if first:
+        return SweepOutcome(words, first)
+    cert = emptiness_certificate(rule, WindowedSet.from_mask(mask), analyses(), h)
+    return SweepOutcome(words, None, None if cert is None else {"certificate": cert})
 
 
 def check_transitive(
@@ -132,29 +165,24 @@ def check_transitive(
     if not m:
         raise ConfigError(f"unknown mode {mode!r}")
     run = int(m.group(1)) if m.group(1) else None
+    if run == 0:
+        raise ConfigError("thick parameter must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    pairs = list(itertools.product(cylinders, repeat=2))
-
-    def probe(pair: tuple[Cylinder, Cylinder]) -> SweepOutcome:
-        u, v = pair
-        words = (str(u.word), str(v.word))
-        window = hitting_window(rule, u, v, h)
-        mask = window.mask
+    names = [str(c.word) for c in cylinders]
+    outcomes = []
+    for (u, v), first, mask, _ in _hits(rule, (0, 1), cylinders, h):
+        words = (names[u], names[v])
         if mode == "plain":
-            return SweepOutcome(words, window.first())
-        if run is not None:
-            start = _first_run(mask, run)
-            detail = {"run_length": run}
-            return SweepOutcome(words, start, detail)
-        missing = np.flatnonzero(~mask[1:]) + 1
-        if missing.size == 0:
-            return SweepOutcome(words, 1, {"n0": 1})
-        last = int(missing[-1])
-        if last >= h:
-            return SweepOutcome(words, None, {"last_missing": last})
-        return SweepOutcome(words, last + 1, {"n0": last + 1})
-
-    outcomes = [probe(pair) for pair in pairs]
+            outcomes.append(SweepOutcome(words, first or None))
+        elif run is not None:
+            outcomes.append(SweepOutcome(words, _first_run(mask, run), {"run_length": run}))
+        else:
+            missing = np.flatnonzero(~mask[1:]) + 1
+            last = int(missing[-1]) if missing.size else 0
+            if last >= h:
+                outcomes.append(SweepOutcome(words, None, {"last_missing": last}))
+            else:
+                outcomes.append(SweepOutcome(words, last + 1, {"n0": last + 1}))
     return _close(rule, "check_transitive", {"l": length, "h": h, "mode": mode}, outcomes)
 
 
@@ -167,30 +195,32 @@ def check_a_transitive(
     if not a or any(x < 1 for x in a):
         raise PreconditionError("vector entries must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    pair_masks: list[dict[tuple[str, str], np.ndarray]] = []
+    names = [str(c.word) for c in cylinders]
+    pairs = [(names[u], names[v]) for u, v in _index_tuples(len(cylinders), 2).tolist()]
+    # per stride, the window and the analysis of every pair
+    tables, readers = [], []
     for ai in a:
-        table = {}
-        for u, v in itertools.product(cylinders, repeat=2):
-            window, _ = linear_hitting(rule, [(0, u), (ai, v)], h)
-            table[(str(u.word), str(v.word))] = window.mask
-        pair_masks.append(table)
+        tables.append(np.zeros((len(pairs), h + 1), dtype=bool))
+        readers.append([read for *_, read in _hits(rule, (0, ai), cylinders, h, tables[-1])])
 
-    keys = list(itertools.product(cylinders, repeat=2))
-
-    def probe(tup: tuple) -> SweepOutcome:
-        words = tuple(str(c.word) for pair in tup for c in pair)
-        combined = pair_masks[0][(words[0], words[1])].copy()
-        for i in range(1, len(a)):
-            combined &= pair_masks[i][(words[2 * i], words[2 * i + 1])]
-        first = first_member(combined)
-        if first is not None:
-            return SweepOutcome(words, first)
-        window, analyses = multi_hitting_analysis(rule, a, list(tup), h)
-        cert = emptiness_certificate(rule, window, analyses, h)
-        detail = {"certificate": cert} if cert is not None else None
-        return SweepOutcome(words, None, detail)
-
-    outcomes = [probe(tup) for tup in itertools.product(keys, repeat=len(a))]
+    # tuples in lexicographic order: for each prefix of pairs the last pair
+    # runs over a contiguous block of the last table
+    rows = chunk_rows(h + 1)
+    outcomes = []
+    for prefix in itertools.product(range(len(pairs)), repeat=len(a) - 1):
+        windows = [table[p] for table, p in zip(tables, prefix)]
+        common = functools.reduce(np.logical_and, windows) if windows else None
+        for start in range(0, len(pairs), rows):
+            combined = tables[-1][start : start + rows]
+            if common is not None:
+                combined = combined & common
+            for last, first in enumerate(combined.argmax(axis=1).tolist(), start):
+                tup = [*prefix, last]
+                words = tuple(w for p in tup for w in pairs[p])
+                outcomes.append(_outcome(
+                    rule, words, first, combined[last - start],
+                    lambda: [read[p]() for read, p in zip(readers, tup)], h,
+                ))
     return _close(
         rule, "check_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -219,18 +249,11 @@ def check_delta_a_transitive(
         raise PreconditionError("vector must be nonempty")
     _require_strictly_increasing(a)
     cylinders = sweep_cylinders(rule, length)
-
-    def probe(tup: tuple) -> SweepOutcome:
-        words = tuple(str(c.word) for c in tup)
-        window, analyses = delta_hitting_analysis(rule, a, list(tup), h)
-        first = window.first()
-        if first is not None:
-            return SweepOutcome(words, first)
-        cert = emptiness_certificate(rule, window, analyses, h)
-        detail = {"certificate": cert} if cert is not None else None
-        return SweepOutcome(words, None, detail)
-
-    outcomes = [probe(tup) for tup in itertools.product(cylinders, repeat=len(a) + 1)]
+    names = [str(c.word) for c in cylinders]
+    outcomes = [
+        _outcome(rule, tuple(names[w] for w in tup), first, mask, read, h)
+        for tup, first, mask, read in _hits(rule, (0,) + a, cylinders, h)
+    ]
     return _close(
         rule, "check_delta_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -352,14 +375,16 @@ def verify_orbit_closure_prop(
     _require_strictly_increasing(a)
     a_prime = tuple(x - a[0] for x in a[1:])
     cylinders = sweep_cylinders(rule, length)
-
-    def probe(tup: tuple) -> OrbitOutcome:
-        words = tuple(str(c.word) for c in tup)
-        lhs_window, _ = linear_hitting(rule, list(zip(a, tup)), h)
-        rhs_window, _ = delta_hitting_analysis(rule, a_prime, list(tup), h)
-        return OrbitOutcome(words, lhs_window.first(), rhs_window.first())
-
-    table = [probe(tup) for tup in itertools.product(cylinders, repeat=len(a))]
+    names = [str(c.word) for c in cylinders]
+    lhs, rhs = (
+        [first for _, first, _, _ in _hits(rule, coefs, cylinders, h)]
+        for coefs in (a, (0,) + a_prime)
+    )
+    tuples = itertools.product(range(len(cylinders)), repeat=len(a))
+    table = [
+        OrbitOutcome(tuple(names[w] for w in tup), left or None, right or None)
+        for tup, left, right in zip(tuples, lhs, rhs)
+    ]
     agree = all((o.lhs is None) == (o.rhs is None) for o in table)
     return OrbitClosureReport(
         rule.literal(), a, a_prime, length, h, agree, tuple(table)
@@ -387,40 +412,28 @@ def verify_delta_product(
     if n < 1:
         raise PreconditionError("n must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    tuples = list(itertools.product(cylinders, repeat=n + 1))
+    names = [str(c.word) for c in cylinders]
+    tuples = _index_tuples(len(cylinders), n + 1)
 
-    # per coordinate, deduplicated masks for each (n+1)-tuple
-    mask_ids: list[dict[int, int]] = []
-    unique_masks: list[np.ndarray] = []
-    digests: dict[bytes, int] = {}
-    for ai in a:
-        ids = {}
-        for t_idx, tup in enumerate(tuples):
-            placements = [(0, tup[0])] + [(j * ai, tup[j]) for j in range(1, n + 1)]
-            window, _ = linear_hitting(rule, placements, h)
-            key = window.mask.tobytes()
-            if key not in digests:
-                digests[key] = len(unique_masks)
-                unique_masks.append(window.mask)
-            ids[t_idx] = digests[key]
-        mask_ids.append(ids)
-
-    witness_cache: dict[tuple[int, ...], int | None] = {}
-
-    def probe(family: tuple[int, ...]) -> SweepOutcome:
-        words = tuple(
-            str(c.word) for t_idx in family for c in tuples[t_idx]
-        )
-        key = tuple(mask_ids[i][t_idx] for i, t_idx in enumerate(family))
-        if key not in witness_cache:
-            combined = unique_masks[key[0]].copy()
-            for mid in key[1:]:
-                combined &= unique_masks[mid]
-            witness_cache[key] = first_member(combined)
-        return SweepOutcome(words, witness_cache[key])
-
-    families = list(itertools.product(range(len(tuples)), repeat=len(a)))
-    outcomes = [probe(f) for f in families]
+    # distinct masks over all coordinates; ids[i, t] numbers tuple t's mask at a_i
+    unique_masks = np.zeros((0, h + 1), dtype=bool)
+    ids = np.empty(len(a) * len(tuples), dtype=np.int64)
+    for i, ai in enumerate(a):
+        coefs = [j * ai for j in range(n + 1)]
+        for start, masks, _ in hitting_batches(rule, coefs, cylinders, tuples, h):
+            done, known = i * len(tuples) + start, len(unique_masks)
+            unique_masks, inverse = unique_rows(np.concatenate([unique_masks, masks]))
+            ids[:done] = inverse[ids[:done]]
+            ids[done : done + len(masks)] = inverse[known:]
+    # one witness per distinct combination of mask ids over the families
+    families = _index_tuples(len(tuples), len(a))
+    combos, inverse = unique_rows(ids.reshape(len(a), -1)[np.arange(len(a)), families])
+    firsts = [first_member(np.logical_and.reduce(unique_masks[key])) for key in combos]
+    tuple_words = [tuple(names[w] for w in tup) for tup in tuples.tolist()]
+    outcomes = [
+        SweepOutcome(tuple(w for t in family for w in tuple_words[t]), firsts[k])
+        for family, k in zip(families.tolist(), inverse.tolist())
+    ]
     return _close(
         rule,
         "verify_delta_product",

@@ -13,21 +13,25 @@ non-forced 1 of any witness point stays admissible by downward closure and
 still lies in each cylinder.  The hitting kernels below rely on this and are
 tested against brute-force enumeration over *all* completions.
 
-The kernels work on 1-positions only.  For a placement of cylinders at
-positions ``coef * n`` the cross gaps are affine in ``n``, so past a small
-stabilization threshold the admissible ``n`` are computed by slicing the
-rule's gap mask; the handful of small ``n`` where spans overlap are checked
-directly.
+One kernel answers every hitting question, for a whole sweep at once.  The
+tuples of a sweep place cylinders of one shape at positions ``coef * n``, so
+the threshold n_star past which the placed words stop overlapping is one
+number per sweep.  Up to it, each n is one vectorized step over all tuples:
+the placed word rows are ORed into a dense superposition and tested for a
+1-vs-0 clash, forbidden gaps and forbidden triples.  Past it the cross gaps
+are affine in n: each tuple holds some of the sweep's few (coef, delta)
+constraints and triple-law exclusions, and every distinct set of them is
+solved once by slicing the rule's gap mask.  A single window is the batch
+of one.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -85,14 +89,6 @@ class Cylinder:
 
     word: Word
     offset: int = 0
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.offset, self.offset + self.word.length - 1
-
-    @property
-    def ones(self) -> tuple[int, ...]:
-        return tuple(self.offset + i for i in self.word.ones)
 
 
 def cyl(text: str, offset: int = 0) -> Cylinder:
@@ -288,32 +284,19 @@ def is_admissible(rule: ShiftRule, w: Word) -> bool:
     return _positions_admissible(rule, w.ones)
 
 
-def _merged_ones(placed: Sequence[tuple[int, Word]]) -> list[int] | None:
-    """Sorted 1-positions of words pinned at offsets, or None on a 1-vs-0 clash."""
-    ones = sorted({off + i for off, w in placed for i in w.ones})
-    for off, w in placed:
-        # the word's own 1s are among ``ones``, so any further 1 in its span clashes
-        start = bisect.bisect_left(ones, off)
-        if bisect.bisect_left(ones, off + w.length) - start > len(w.ones):
-            return None
-    return ones
-
-
-def superpose(constraints: Sequence[Cylinder]) -> Cylinder | None:
-    """Combine cylinders into one zero-filled word, or None if they clash.
-
-    A position of the spanned interval is 1 iff some constraint places a 1
-    there; the combination is infeasible iff a constraint places a 0 where
-    another places a 1.  Uncovered interior positions are zero-filled.
-    """
-    if not constraints:
-        raise PreconditionError("superpose needs at least one cylinder")
-    ones = _merged_ones([(c.offset, c.word) for c in constraints])
-    if ones is None:
-        return None
-    lo = min(c.offset for c in constraints)
-    hi = max(c.offset + c.word.length for c in constraints)
-    return Cylinder(Word(hi - lo, tuple(p - lo for p in ones)), lo)
+def _dense_violations(rule: ShiftRule, u: np.ndarray, reach: set[int]) -> np.ndarray:
+    """Rows of ``u`` (1-positions as bools) with two 1s at a forbidden gap or
+    three at a forbidden gap pair; only gaps in ``reach`` are read."""
+    width, ratio = u.shape[1], rule.ratio
+    allowed = rule.pair_mask(width)
+    bad = np.zeros(len(u), dtype=bool)
+    for g in reach:
+        if 0 < g < width and not allowed[g]:
+            bad |= (u[:, :-g] & u[:, g:]).any(axis=1)
+        if ratio and 0 < g and ratio * g in reach and (ratio + 1) * g < width:
+            m = width - (ratio + 1) * g
+            bad |= (u[:, :m] & u[:, g : g + m] & u[:, -m:]).any(axis=1)
+    return bad
 
 
 def enumerate_admissible_words(
@@ -324,26 +307,14 @@ def enumerate_admissible_words(
         raise ConfigError("word length must be >= 1")
     if length > cap:
         raise CapExceeded(f"word length {length} exceeds the cap {cap}")
-    out: list[Word] = []
-    ones: list[int] = []
-
-    def walk(t: int) -> None:
-        if t == length:
-            out.append(Word(length, tuple(ones)))
-            return
-        walk(t + 1)
-        if _positions_admissible(rule, ones + [t]):
-            ones.append(t)
-            walk(t + 1)
-            ones.pop()
-
-    walk(0)
-    out.sort(key=lambda w: str(w))
-    return out
+    # row i spells i in binary, so the rows are in lexicographic order
+    u = (np.arange(1 << length)[:, None] >> np.arange(length - 1, -1, -1)) & 1 == 1
+    ok = u[~_dense_violations(rule, u, set(range(length)))]
+    return [Word(length, tuple(np.flatnonzero(row).tolist())) for row in ok]
 
 
 # ---------------------------------------------------------------------------
-# hitting kernels
+# hitting kernel
 
 
 @dataclass(frozen=True)
@@ -362,20 +333,50 @@ class HitAnalysis:
     all_n_triples: tuple[tuple[int, ...], ...]
 
 
+# Bytes of per-tuple arrays (mask rows plus their scratch) that one chunk of a
+# batch holds; at H = 10^6 a chunk is one tuple.
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Tuples per chunk when each tuple holds ``row_bytes`` bytes of arrays."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, sorted, and the index of each row among them.
+
+    Rows are compared as byte strings, which ``np.unique(axis=0)`` does field
+    by field: 60 times slower on rows of 10^4 bytes.
+    """
+    a = np.ascontiguousarray(a)
+    if len(a) < 2 or not a.shape[1]:
+        return a[:1], np.zeros(len(a), dtype=np.intp)
+    rows = a.view(f"V{a.shape[1] * a.itemsize}").ravel()
+    keys, inverse = np.unique(rows, return_inverse=True)
+    return keys.view(a.dtype).reshape(len(keys), a.shape[1]), inverse.ravel()
+
+
 def _validate_placements(
-    rule: ShiftRule, placements: Sequence[tuple[int, Cylinder]]
-) -> None:
-    if not placements:
+    rule: ShiftRule, coefs: Sequence[int], cylinders: Sequence[Cylinder], tuples: np.ndarray
+) -> list[tuple[int, int, int]]:
+    """Check a batch once; returns its template, (coef, offset, length) per placement."""
+    if not len(coefs):
         raise PreconditionError("at least one placement required")
-    for coef, c in placements:
-        if coef < 0:
-            raise PreconditionError("placement coefficients must be >= 0")
+    if min(coefs) < 0:
+        raise PreconditionError("placement coefficients must be >= 0")
+    for c in cylinders:
         if rule.sidedness == ONE_SIDED and c.offset != 0:
             raise PreconditionError("one-sided rules require cylinder offset 0")
         if not is_admissible(rule, c.word):
             raise PreconditionError(f"cylinder word {c.word} is not admissible")
-    if all(coef == 0 for coef, _ in placements):
+    if not any(coefs):
         raise PreconditionError("at least one placement must move with n")
+    shapes = [(c.offset, c.word.length) for c in cylinders]
+    used = [{shapes[i] for i in set(col.tolist())} for col in tuples.T]
+    if any(len(u) > 1 for u in used):
+        raise PreconditionError("the cylinders of a placement need one offset and length")
+    return [(int(coef), *u.pop()) for coef, u in zip(coefs, used)]
 
 
 def _strike(ok: np.ndarray, lo: int, num: np.ndarray, coef: np.ndarray | int) -> None:
@@ -424,88 +425,158 @@ def affine_gap_window(
         _strike(ok, lo, np.asarray(exclusions, dtype=np.int64), 1)
 
 
+def _present(held: np.ndarray, groups: list[list[tuple[int, int, int]]]) -> np.ndarray:
+    """Per row of ``held``: whether some member of each group has its 3 columns set."""
+    if not groups:
+        return np.zeros((len(held), 0), dtype=bool)
+    hit = np.logical_and.reduce([held[:, list(col)] for col in zip(*sum(groups, []))])
+    return np.logical_or.reduceat(hit, np.cumsum([0] + [len(g) for g in groups[:-1]]), axis=1)
+
+
+def hitting_batches(
+    rule: ShiftRule,
+    coefs: Sequence[int],
+    cylinders: Sequence[Cylinder],
+    tuples: np.ndarray | Sequence[Sequence[int]],
+    h: int,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[int, np.ndarray, Callable[[int], HitAnalysis]]]:
+    """Hitting windows of many tuples placed alike, one chunk of tuples at a time.
+
+    Row t of ``tuples`` places ``cylinders[tuples[t, j]]`` at ``coefs[j] * n``;
+    the cylinders of one column share an offset and a length.  Yields
+    ``(start, masks, analysis)``: ``masks[i]`` is the window over [0, H] of
+    tuple ``start + i`` (n such that the superposition at n is admissible;
+    exact by zero-fill) and ``analysis(i)`` its HitAnalysis.  The masks share
+    one buffer, overwritten by the next chunk, unless ``out`` is given: a
+    zeroed (T, H+1) bool array whose rows they then are.
+    """
+    if h < 1:
+        raise HorizonExhausted("horizon must be >= 1")
+    tuples = np.asarray(tuples, dtype=np.int64)
+    template = _validate_placements(rule, coefs, cylinders, tuples)
+    ratio = rule.ratio
+    words = np.zeros((len(cylinders), max(c.word.length for c in cylinders)), dtype=bool)
+    for row, c in zip(words, cylinders):
+        row[list(c.word.ones)] = True
+    # past n_star groups with different coefficients are disjoint and ordered
+    n_star = 1
+    for (ci, oi, li), (cj, oj, _) in itertools.combinations(sorted(template), 2):
+        if ci < cj:
+            n_star = max(n_star, (oi + li - 1 - oj) // (cj - ci) + 1)
+    n_star = min(n_star, h)
+
+    # n <= n_star: the rows are superposed densely; only the gaps two placed
+    # 1s can span are read
+    steps = []
+    for n in range(1, n_star + 1):
+        starts = [o + c * n for c, o, _ in template]
+        blocks = [(s - min(starts), l) for s, (_, _, l) in zip(starts, template)]
+        width = max(s + l for s, l in blocks)
+        reach = {abs(g) for (s1, l1), (s2, l2) in itertools.product(blocks, repeat=2)
+                 for g in range(s2 - s1 - l1 + 1, s2 - s1 + l2)}
+        steps.append((n, blocks, width, reach))
+
+    # n > n_star: merged 1-positions are (coef, offset) candidates in position
+    # order.  Whether a tuple has a tail constraint (coef, delta), a point
+    # exclusion, a forbidden fixed gap or an all-n triple depends only on the
+    # candidates it holds: each is a group of candidate triples (a pair
+    # repeats its second index), present when one triple is held in full.
+    cand = sorted({(c, o + x) for c, o, l in template for x in range(l)})
+    cols = [[cand.index((c, o + x)) for x in range(l)] for c, o, l in template]
+    pairs, excluded, fixed, always = {}, {}, [], []
+    for (i, (c1, q1)), (k, (c2, q2)) in itertools.combinations(enumerate(cand), 2):
+        if c1 != c2:
+            pairs.setdefault((c2 - c1, q2 - q1), []).append((i, k, k))
+        elif not rule.pair_mask(q2 - q1)[q2 - q1]:
+            fixed.append(((i, k, k), f"fixed gap {q2 - q1} between co-moving 1s is forbidden"))
+    for (i, (c1, q1)), (k, (c2, q2)), (m, (c3, q3)) in itertools.combinations(
+        enumerate(cand) if ratio else (), 3
+    ):
+        # forbidden iff p3 - p2 = ratio * (p2 - p1) with affine positions
+        slope = (c3 - c2) - ratio * (c2 - c1)
+        inter = (q3 - q2) - ratio * (q2 - q1)
+        if slope == 0 and inter == 0:
+            always.append(((i, k, m), cand[i] + cand[k] + cand[m]))
+        elif slope and (-inter) % slope == 0 and n_star < (-inter) // slope <= h:
+            excluded.setdefault((-inter) // slope, []).append((i, k, m))
+    items, points = sorted(pairs), sorted(excluded)
+    groups = [pairs[x] for x in items] + [excluded[n] for n in points]
+    groups += [[t] for t, _ in fixed + always]
+    item_c, item_d = np.array(items, dtype=np.int64).reshape(-1, 2).T
+    points = np.array(points, dtype=np.int64)
+    n_need = len(items) + len(points)  # columns that set the tail; then fixed, always
+    clashes = []  # co-moving cylinders with overlapping spans: their offsets into it
+    for (j, (cj, oj, lj)), (k, (ck, ok, lk)) in itertools.combinations(enumerate(template), 2):
+        left, right = max(oj, ok), min(oj + lj, ok + lk)
+        if cj == ck and left < right:
+            clashes.append((j, k, left - oj, left - ok, right - left))
+
+    lo = n_star + 1
+    scratch = max([w for _, _, w, _ in steps] + [sum(map(len, groups))])
+    rows = chunk_rows(h + 1 + len(cand) + scratch)
+    buffer = np.zeros((min(rows, len(tuples)), h + 1), dtype=bool) if out is None else None
+    for start in range(0, len(tuples), rows):
+        idx = tuples[start : start + rows]
+        placed = [words[idx[:, j], :l] for j, (_, _, l) in enumerate(template)]
+        masks = buffer[: len(idx)] if out is None else out[start : start + rows]
+        if out is None and start:
+            masks[:] = False
+        for n, blocks, width, reach in steps:
+            u = np.zeros((len(idx), width), dtype=bool)
+            for (s, l), w in zip(blocks, placed):
+                u[:, s : s + l] |= w
+            bad = _dense_violations(rule, u, reach)
+            for (s, l), w in zip(blocks, placed):
+                bad |= (u[:, s : s + l] > w).any(axis=1)  # a 1 on a 0 of the word
+            masks[:, n] = ~bad
+
+        held = np.zeros((len(idx), len(cand)), dtype=bool)
+        for col, w in zip(cols, placed):
+            held[:, col] |= w
+        present = _present(held, groups)
+        need, bad_gaps = present[:, :n_need], present[:, n_need : n_need + len(fixed)]
+        triples = present[:, n_need + len(fixed) :]
+        clash = np.zeros((len(idx), len(clashes)), dtype=bool)
+        for x, (j, k, a, b, span) in enumerate(clashes):
+            clash[:, x] = (placed[j][:, a : a + span] != placed[k][:, b : b + span]).any(axis=1)
+        dead = bad_gaps.any(axis=1) | clash.any(axis=1)
+        # one affine window per distinct set of tail constraints and exclusions
+        live = np.flatnonzero(~dead & ~triples.any(axis=1)) if lo <= h else []
+        keys, inverse = unique_rows(need[live])
+        for g, key in enumerate(keys):
+            group = live[inverse == g]
+            tail = masks[group[0], lo:]
+            tail[:] = True
+            c, e = key[: len(items)], key[len(items) :]
+            affine_gap_window(rule, item_c[c], item_d[c], lo, tail, points[e])
+            if len(group) > 1:  # (an empty fancy assignment still copies ``tail``)
+                masks[group[1:], lo:] = tail
+        masks[dead] = False
+
+        # binds this chunk's presence rows: the caller may read them later
+        def analysis(i: int, need=need, bad_gaps=bad_gaps, clash=clash, triples=triples):
+            return HitAnalysis(
+                n_star,
+                tuple(itertools.compress(items, need[i])),
+                tuple(msg for (_, msg), on in zip(fixed, bad_gaps[i]) if on)
+                + ("co-moving cylinders clash 1-vs-0",) * int(clash[i].sum()),
+                tuple(t for (_, t), on in zip(always, triples[i]) if on),
+            )
+
+        yield start, masks, analysis
+
+
 def linear_hitting(
     rule: ShiftRule, placements: Sequence[tuple[int, Cylinder]], h: int
 ) -> tuple[WindowedSet, HitAnalysis]:
     """n in [1, H] such that superposing each cylinder at coef*n is admissible.
 
-    The workhorse behind every hitting-set operation; exact by zero-fill.
+    The batch of one of :func:`hitting_batches`.
     """
-    if h < 1:
-        raise HorizonExhausted("horizon must be >= 1")
-    _validate_placements(rule, placements)
-
-    # Threshold past which groups with different coefficients are disjoint
-    # and ordered by coefficient.
-    n_star = 1
-    for (ci, a), (cj, b) in itertools.combinations(placements, 2):
-        if ci == cj:
-            continue
-        if ci > cj:
-            (ci, a), (cj, b) = (cj, b), (ci, a)
-        sep = (a.span[1] - b.span[0]) // (cj - ci) + 1
-        n_star = max(n_star, sep)
-    n_star = min(n_star, h)
-
-    mask = np.zeros(h + 1, dtype=bool)
-    for n in range(1, n_star + 1):
-        ones = _merged_ones([(c.offset + coef * n, c.word) for coef, c in placements])
-        mask[n] = ones is not None and _positions_admissible(rule, ones)
-
-    # Merged 1-positions as (coef, offset) pairs; lexicographic order equals
-    # position order for every n > n_star.
-    cq = sorted({(coef, p) for coef, c in placements for p in c.ones})
-
-    pair_constraints: set[tuple[int, int]] = set()
-    constant_violations: list[str] = []
-    all_n_triples: list[tuple[int, ...]] = []
-
-    fixed_gaps: list[int] = []
-    for (c1, q1), (c2, q2) in itertools.combinations(cq, 2):
-        if c1 == c2:
-            fixed_gaps.append(q2 - q1)
-        else:
-            pair_constraints.add((c2 - c1, q2 - q1))
-    allowed = rule.pair_mask(max(fixed_gaps, default=0))
-    for g in fixed_gaps:
-        if not allowed[g]:
-            constant_violations.append(
-                f"fixed gap {g} between co-moving 1s is forbidden"
-            )
-
-    # Co-moving zero/one conflicts are n-independent.
-    for (ci, a), (cj, b) in itertools.combinations(placements, 2):
-        if ci == cj and superpose([a, b]) is None:
-            constant_violations.append("co-moving cylinders clash 1-vs-0")
-
-    point_exclusions: list[int] = []
-    ratio = rule.ratio
-    if ratio is not None and len(cq) >= 3:
-        for (c1, q1), (c2, q2), (c3, q3) in itertools.combinations(cq, 3):
-            # forbidden iff p3 - p2 = ratio * (p2 - p1) with affine positions
-            slope = (c3 - c2) - ratio * (c2 - c1)
-            inter = (q3 - q2) - ratio * (q2 - q1)
-            if slope == 0 and inter == 0:
-                all_n_triples.append((c1, q1, c2, q2, c3, q3))
-            elif slope != 0 and (-inter) % slope == 0:
-                point_exclusions.append((-inter) // slope)
-
-    if n_star < h and not (constant_violations or all_n_triples):
-        cd = np.array(sorted(pair_constraints), dtype=np.int64).reshape(-1, 2)
-        tail = mask[n_star + 1 :]
-        tail[:] = True
-        affine_gap_window(rule, cd[:, 0], cd[:, 1], n_star + 1, tail, point_exclusions)
-
-    if constant_violations:
-        mask[:] = False
-
-    analysis = HitAnalysis(
-        n_star,
-        tuple(sorted(pair_constraints)),
-        tuple(constant_violations),
-        tuple(all_n_triples),
-    )
-    return WindowedSet.from_mask(mask), analysis
+    coefs, cylinders = [c for c, _ in placements], [cy for _, cy in placements]
+    ((_, masks, analysis),) = hitting_batches(rule, coefs, cylinders, [range(len(coefs))], h)
+    return WindowedSet.from_mask(masks[0]), analysis(0)
 
 
 def hitting_window(rule: ShiftRule, u: Cylinder, v: Cylinder, h: int) -> WindowedSet:
@@ -524,14 +595,11 @@ def multi_hitting_analysis(
         raise PreconditionError("need as many pairs as vector entries")
     if any(ai < 1 for ai in a):
         raise PreconditionError("vector entries must be positive")
-    mask = np.zeros(h + 1, dtype=bool)
-    mask[1:] = True
-    analyses = []
-    for ai, (u, v) in zip(a, pairs):
-        window, analysis = linear_hitting(rule, [(0, u), (ai, v)], h)
+    hits = [linear_hitting(rule, [(0, u), (ai, v)], h) for ai, (u, v) in zip(a, pairs)]
+    mask = np.arange(h + 1) > 0
+    for window, _ in hits:
         mask &= window.mask
-        analyses.append(analysis)
-    return WindowedSet.from_mask(mask), analyses
+    return WindowedSet.from_mask(mask), [analysis for _, analysis in hits]
 
 
 def delta_hitting_analysis(
@@ -541,10 +609,7 @@ def delta_hitting_analysis(
         raise PreconditionError("need r+1 cylinders for a length-r vector")
     if any(ai < 1 for ai in a):
         raise PreconditionError("vector entries must be positive")
-    placements = [(0, cylinders[0])] + [
-        (ai, c) for ai, c in zip(a, cylinders[1:])
-    ]
-    return linear_hitting(rule, placements, h)
+    return linear_hitting(rule, [(0, cylinders[0]), *zip(a, cylinders[1:])], h)
 
 
 def emptiness_certificate(

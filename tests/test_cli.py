@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -68,6 +69,71 @@ def test_bad_rule_string(capsys):
 def test_unknown_mode(capsys):
     status, _, _ = run(capsys, "check", "--rule", "full()", "--mode", "never")
     assert status == 2
+
+
+@pytest.mark.parametrize("run_length,first", [(5, 1), (6, None), (8, None), (20, None)])
+def test_thick_mode_up_to_and_past_the_horizon(capsys, run_length, first):
+    # on the full shift every window is [1, 5]: a run of L fits iff L <= 5
+    status, out, err = run(
+        capsys, "check", "--rule", "full()", "--mode", f"thick({run_length})",
+        "--wordlen", "1", "--horizon", "5",
+    )
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == ("Witnessed" if first else "FailsOnWindow")
+    assert {row[1] for row in report["witnesses"]["sample"]} == {first}
+
+
+def test_thick_mode_zero_is_a_config_error_like_the_family(capsys):
+    status, _, err = run(capsys, "check", "--rule", "full()", "--mode", "thick(0)")
+    assert status == 2
+    assert err == "error: thick parameter must be >= 1\n"
+    family = run(
+        capsys, "diagnose", "--rule", "full()", "--family", "thick(0)",
+        "--point", "champernowne", "--pointlen", "2",
+    )
+    assert family == (2, "", err)
+
+
+def test_parser_built_once_without_shared_state(capsys, monkeypatch):
+    from shiftlab import cli
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    args = ["check", "--rule", "full()", "--wordlen", "1", "--horizon", "8"]
+    status, out, _ = run(capsys, *args, "--vector", "2,3")
+    assert status == 0 and json.loads(out)["config"]["vector"] == [2, 3]
+    status, out, _ = run(capsys, *args)
+    report = json.loads(out)
+    assert status == 0 and report["config"]["vector"] is None
+    assert report["tuples_checked"] == 4
+    assert len(builds) == 1
+
+
+def test_thick_sweep_at_a_million_holds_one_window_at_a_time(capsys):
+    # a kernel chunk is one 1 MB window at H = 10^6; the 9 pairs' windows
+    # held at once would take 9 MB
+    argv = [
+        "check", "--rule", "spacing(dyadic())", "--mode", "thick(8)",
+        "--wordlen", "2", "--horizon", "1000000",
+    ]
+    assert run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert status == 0
+    assert peak <= 5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +370,10 @@ check_argv = _argv(
     rules.map(lambda r: ("--rule", r)),
     _opt("--vector", vectors),
     st.sampled_from([(), ("--delta",)]),
-    _opt("--mode", st.sampled_from(["plain", "thick(2)", "cofinite_from", "never"])),
+    _opt(
+        "--mode",
+        st.sampled_from(["plain", "thick(2)", "thick(0)", "thick(1000)", "cofinite_from", "never"]),
+    ),
     horizons,
     *[_opt(*s) for s in sizes],
 )

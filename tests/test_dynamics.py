@@ -31,7 +31,6 @@ from shiftlab.subshift import (
     hitting_window,
     is_admissible,
     multi_hitting_analysis,
-    superpose,
 )
 from shiftlab.dynamics import (
     FAILS_ON_WINDOW,

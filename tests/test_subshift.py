@@ -21,6 +21,11 @@ from shiftlab.errors import (
     PreconditionError,
 )
 from shiftlab import subshift
+from shiftlab.dynamics import (
+    check_a_transitive,
+    check_delta_a_transitive,
+    sweep_cylinders,
+)
 from shiftlab.intset import (
     ArithmeticProgression,
     DifferenceOf,
@@ -42,9 +47,9 @@ from shiftlab.subshift import (
     enumerate_admissible_words,
     hitting_window,
     is_admissible,
+    linear_hitting,
     multi_hitting_analysis,
     parse_shift_rule,
-    superpose,
 )
 
 FULL = FullShift()
@@ -226,22 +231,32 @@ def test_vectorized_admissibility_agrees_on_long_words():
 
 
 # ---------------------------------------------------------------------------
-# superposition
+# superposition: cylinders placed at one coefficient move together
 
 
-def test_superpose_examples():
-    got = superpose([cyl("10"), cyl("01", 2)])
-    assert (str(got.word), got.offset) == ("1001", 0)
-    assert superpose([cyl("1"), cyl("0")]) is None
-    got = superpose([cyl("11"), cyl("10", 1)])
-    assert (str(got.word), got.offset) == ("110", 0)
+def test_co_moving_placements_superpose():
+    # feasible unless one cylinder places a 1 on a 0 of another
+    for cyls in ([cyl("10"), cyl("01", 2)], [cyl("101"), cyl("10", 2)]):
+        window, analysis = linear_hitting(TR3, [(1, c) for c in cyls], 8)
+        assert tuple(window) == tuple(range(1, 9)) and not analysis.constant_violations
+    window, analysis = linear_hitting(FULL, [(1, cyl("1")), (1, cyl("0"))], 8)
+    assert tuple(window) == ()
+    assert analysis.constant_violations == ("co-moving cylinders clash 1-vs-0",)
     with pytest.raises(PreconditionError):
-        superpose([])
+        linear_hitting(FULL, [], 8)
 
 
-def test_superpose_zero_fills_uncovered_gap():
-    got = superpose([cyl("1", -2), cyl("1", 3)])
-    assert (str(got.word), got.offset) == ("100001", -2)
+def test_co_moving_placements_zero_fill_gap():
+    # the positions between the forced 1s stay 0: only the gap 5 is read
+    window, _ = linear_hitting(TR3, [(1, cyl("1", -2)), (1, cyl("1", 3))], 8)
+    assert tuple(window) == tuple(range(1, 9))
+    # fixed gaps are listed before clashes: here 1s 3 apart, and "1" on the 0 of "0001"
+    window, analysis = linear_hitting(EVENS, [(1, cyl("1")), (1, cyl("0001"))], 8)
+    assert tuple(window) == ()
+    assert analysis.constant_violations == (
+        "fixed gap 3 between co-moving 1s is forbidden",
+        "co-moving cylinders clash 1-vs-0",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +574,78 @@ def test_affine_gap_window_matches_direct_scan(name, starts, lo, width, excluded
         for n in range(lo, hi + 1)
     ]
     assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RULES)),
+    st.integers(min_value=1, max_value=4),
+    st.one_of(
+        st.tuples(st.integers(min_value=1, max_value=2)),
+        st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True).map(sorted),
+    ),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from([1, 3]),
+    st.randoms(use_true_random=False),
+)
+def test_batch_rows_equal_batches_of_one(name, length, a, h, rows, rnd):
+    rule = RULES[name]
+    cylinders = sweep_cylinders(rule, length)
+    coefs = (0, *a)
+    tuples = list(itertools.product(range(len(cylinders)), repeat=len(coefs)))
+    picked = rnd.sample(tuples, min(len(tuples), rnd.randint(1, 10)))
+    got = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subshift, "chunk_rows", lambda row_bytes: rows)
+        batches = subshift.hitting_batches(rule, coefs, cylinders, picked, h)
+        for start, masks, analysis in batches:
+            assert start % rows == 0 and len(masks) == min(rows, len(picked) - start)
+            for i, mask in enumerate(masks):
+                got[picked[start + i]] = (mask.tolist(), analysis(i))
+    assert len(got) == len(picked)
+    # past n_star the placed words of different coefficients never overlap
+    n_star = max((length - 1) // (cj - ci) + 1 for ci, cj in itertools.combinations(coefs, 2))
+    for tup in sorted(picked):
+        placements = [(c, cylinders[w]) for c, w in zip(coefs, tup)]
+        window, analysis = linear_hitting(rule, placements, h)
+        assert got[tup] == (window.mask.tolist(), analysis)
+        assert analysis.n_star == min(n_star, h)
+        if len(a) == 1 and a[0] * h <= 12:
+            u, v = (str(cylinders[w].word) for w in tup)
+            hits = oracle_hitting(name, u, v, a[0] * h)
+            assert set(window) == {n for n in range(1, h + 1) if a[0] * n in hits}
+
+
+def _proof(outcome) -> dict | None:
+    cert = (outcome.detail or {}).get("certificate")
+    return None if cert is None else {k: v for k, v in cert.items() if k != "checked_horizon"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(RULES)),
+    st.integers(min_value=1, max_value=2),
+    st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True).map(sorted),
+    st.booleans(),
+    st.data(),
+)
+def test_sweep_proofs_and_witnesses_stable_as_horizon_grows(name, length, a, delta, data):
+    # a fresh rule: its gap mask is built by these two sweeps alone
+    rule = parse_shift_rule(RULES[name].literal())
+    strides = [(0, *a)] if delta else [(0, ai) for ai in a]
+    pairs = [pair for s in strides for pair in itertools.combinations(s, 2)]
+    n_star = max((length - 1) // (cj - ci) + 1 for ci, cj in pairs)
+    horizons = st.lists(st.integers(n_star, 4 * n_star), min_size=2, max_size=2)
+    low, high = sorted(data.draw(horizons))
+    sweep = check_delta_a_transitive if delta else check_a_transitive
+    reports = sweep(rule, a, length, low), sweep(rule, a, length, high)
+    for small, large in zip(*(r.outcomes for r in reports)):
+        assert small.words == large.words
+        # certificates are the sweep's proofs: no n >= 1 ever hits
+        assert _proof(small) == _proof(large)
+        if small.witness is not None:
+            assert large.witness == small.witness
