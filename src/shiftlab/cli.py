@@ -51,7 +51,7 @@ from .dynamics import (
     check_transitive,
     point_diagnostic,
     verify_delta_product,
-    verify_nuv,
+    verify_nuv_pairs,
     verify_orbit_closure_prop,
 )
 
@@ -301,19 +301,8 @@ def _run_verify(config: RunConfig) -> dict:
         point = _cached_point(config, rule)
         h = min(config.horizon, len(point))
         h_cmp = config.hcmp if config.hcmp else h // 4
-        from .subshift import enumerate_admissible_words
-
-        pairs = []
-        words = []
-        for length in range(1, config.wordlen + 1):
-            words += list(enumerate_admissible_words(rule, length))
-        mismatched = []
-        for u in words:
-            for v in words:
-                rep = verify_nuv(rule, point, u, v, h, h_cmp)
-                pairs.append(rep)
-                if not rep.equal:
-                    mismatched.append([str(u), str(v), list(rep.mismatches[:8])])
+        pairs = verify_nuv_pairs(rule, point, config.wordlen, h, h_cmp)
+        mismatched = [[r.u, r.v, list(r.mismatches[:8])] for r in pairs if not r.equal]
         verdict = WITNESSED if not mismatched else UNDETERMINED
         witnesses = {
             "pairs": len(pairs),

@@ -294,17 +294,16 @@ def verify_nuv(
     u: Word,
     v: Word,
     h: int,
-    h_cmp: int | None = None,
+    h_cmp: int,
+    window: np.ndarray | None = None,
 ) -> NuvReport:
     """Check N(U,V) against N(x,V) - N(x,U) on a truncation-safe window.
 
     Every difference of entering times is a genuine hitting time, so the
     difference set must embed in the hitting window exactly; the converse
     can miss only through window truncation, and those misses are
-    reported.
+    reported.  ``window`` (the hitting mask over [0, h_cmp]) may be given.
     """
-    if h_cmp is None:
-        h_cmp = h // 4
     if h_cmp < 1 or h_cmp > h // 2:
         raise PreconditionError("h_cmp must lie in [1, h/2]")
     if len(point) < h:
@@ -320,15 +319,16 @@ def verify_nuv(
     wu = entering_window(rule, point, u, h - u.length)
     wv = entering_window(rule, point, v, h - v.length)
     diffs = cross_difference(wu, wv).restrict(h_cmp + 1)
-    window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp)
+    if window is None:
+        window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp).mask
     # both windows cover [0, h_cmp]; neither ever holds 0
-    stray = np.flatnonzero(diffs.mask & ~window.mask)
+    stray = np.flatnonzero(diffs.mask & ~window)
     if stray.size:
         raise AssertionError(
             f"entering-time differences {stray[:8].tolist()} missing from the "
             "hitting window; the inclusion is exact and this indicates a kernel bug"
         )
-    mismatches = tuple(np.flatnonzero(window.mask & ~diffs.mask).tolist())
+    mismatches = tuple(np.flatnonzero(window & ~diffs.mask).tolist())
     return NuvReport(
         rule.literal(),
         str(u),
@@ -337,8 +337,25 @@ def verify_nuv(
         h_cmp,
         not mismatches,
         mismatches,
-        {"window": len(window), "differences": len(diffs)},
+        {"window": int(np.count_nonzero(window)), "differences": len(diffs)},
     )
+
+
+def verify_nuv_pairs(
+    rule: ShiftRule, point: GeneratedPoint, wordlen: int, h: int, h_cmp: int
+) -> list[NuvReport]:
+    """verify_nuv on every pair of words up to length wordlen; one batch per (|u|, |v|)."""
+    if h_cmp < 1 or h_cmp > h // 2:
+        raise PreconditionError("h_cmp must lie in [1, h/2]")
+    words = [w for n in range(1, wordlen + 1) for w in enumerate_admissible_words(rule, n)]
+    groups = [[i for i, w in enumerate(words) if w.length == n] for n in range(1, wordlen + 1)]
+    cylinders, reports = [Cylinder(w) for w in words], {}
+    for us, vs in itertools.product(groups, repeat=2):
+        idx = [(i, j) for i in us for j in vs]
+        for start, masks, _ in hitting_batches(rule, (0, 1), cylinders, idx, h_cmp):
+            for (i, j), mask in zip(idx[start:], masks):
+                reports[i, j] = verify_nuv(rule, point, words[i], words[j], h, h_cmp, mask)
+    return [reports[key] for key in sorted(reports)]
 
 
 @dataclass(frozen=True)

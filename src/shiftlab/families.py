@@ -283,6 +283,11 @@ def _rule_analyzers(
     return congruence_structures(rule), doubling_free_certificate(rule)
 
 
+def _decided(structural: tuple | None, failing: tuple | None, analyzers: tuple) -> bool:
+    """Whether the cells scanned so far fix the grid report (see fa_grid_report)."""
+    return structural is not None or (failing is not None and analyzers == ((), None))
+
+
 # ---------------------------------------------------------------------------
 # F[a]
 
@@ -311,12 +316,14 @@ def fa_grid_report(
     (holds-on-grid).  A failing cell refutes only when a structural
     certificate excludes every k; a bare failed search leaves the verdict
     Undetermined because k is unbounded.  Cells whose search range leaves
-    the horizon are reported Undetermined rather than failed.
+    the horizon are reported Undetermined rather than failed.  The scan stops at the
+    first structural cell (it refutes), and at the first failing cell when the rule
+    has no congruence or doubling analyzer (no cell is then structural).
     """
     _check_grid_shape(a, grid)
     if grid.kmax < 1:
         raise ConfigError("kmax must be >= 1 for the k search")
-    congruences, doubling = _rule_analyzers(rule)
+    congruences, doubling = analyzers = _rule_analyzers(rule)
     h = s.horizon
     mask = s.mask
     r = len(a)
@@ -339,6 +346,8 @@ def fa_grid_report(
     structural: tuple[tuple[int, ...], dict] | None = None
     failing: tuple[tuple[int, ...], str] | None = None
     for cell in itertools.product(range(span), repeat=r):
+        if _decided(structural, failing, analyzers):
+            break
         ok = np.ones(grid.kmax, dtype=bool)
         known = np.ones(grid.kmax, dtype=bool)
         for i, v in enumerate(cell):
@@ -350,8 +359,7 @@ def fa_grid_report(
             continue
         cert = structural_cell_certificate(a, cell, congruences, doubling)
         if cert is not None:
-            if structural is None:
-                structural = (cell, cert)
+            structural = (cell, cert)
         elif failing is None:
             reason = "no-witness" if bool(known.all()) else "horizon-limited"
             failing = (cell, reason)
@@ -440,12 +448,12 @@ def fsa_grid_report(
     B(n) keeps anchored gaps <= g on its window; Refuted only when some
     B(n) is structurally empty (then no carrier exists at any bound); a
     bare gap violation or an empty-looking window leaves Undetermined,
-    since carriers with larger bounds remain possible.
+    since carriers with larger bounds remain possible.  Stops as fa_grid_report.
     """
     _check_grid_shape(a, grid)
     if grid.g is None:
         raise ConfigError("the syndetic vector family needs a gap bound g")
-    congruences, doubling = _rule_analyzers(rule)
+    congruences, doubling = analyzers = _rule_analyzers(rule)
     g = grid.g
     h = s.horizon
     mask = s.mask
@@ -456,6 +464,8 @@ def fsa_grid_report(
     max_gap_seen = 0
     cells = 0
     for cell in itertools.product(range(span), repeat=len(a)):
+        if _decided(structural, failing, analyzers):
+            break
         cells += 1
         m_eff = min((h - 1 - ni) // ai for ai, ni in zip(a, cell))
         if m_eff < 1:
@@ -469,8 +479,7 @@ def fsa_grid_report(
         if members.size == 0:
             cert = structural_cell_certificate(a, cell, congruences, doubling)
             if cert is not None:
-                if structural is None:
-                    structural = (cell, cert)
+                structural = (cell, cert)
             elif failing is None:
                 failing = (cell, {"reason": "empty-on-window"})
             continue

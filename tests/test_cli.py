@@ -271,6 +271,18 @@ def test_verify_nuv(capsys):
     assert report["witnesses"]["mismatched"] == []
 
 
+@pytest.mark.parametrize("hcmp", ["-1", "351", str(10**11)])
+def test_verify_nuv_hcmp_out_of_range_is_one_line_error(capsys, hcmp):
+    # checked before any hitting window is built: 10**11 would not fit in memory
+    status, out, err = run(
+        capsys,
+        "verify", "--rule", "full()", "--prop", "nuv", "--point", "champernowne",
+        "--pointlen", "6", "--wordlen", "2", "--horizon", "700", "--hcmp", hcmp,
+    )
+    assert (status, out) == (2, "")
+    assert err == "error: h_cmp must lie in [1, h/2]\n"
+
+
 def test_verify_orbit_closure(capsys):
     status, out, _ = run(
         capsys,
@@ -397,6 +409,7 @@ verify_argv = _argv(
     _opt("--point", points),
     _opt("--pointlen", st.sampled_from(["1", "2", "3"])),
     st.just(("--depth", "1")),
+    _opt("--hcmp", st.sampled_from(["-1", "0", "4", str(10**11)])),
     horizons,
     *[_opt(*s) for s in sizes],
 )

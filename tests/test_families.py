@@ -1,7 +1,11 @@
 """Family verdict tests: three-valued semantics, certificates, grids."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.errors import (
     CapExceeded,
@@ -38,6 +42,7 @@ from shiftlab.intset import (
     WindowedSet,
     congruence_structures,
     difference_set,
+    doubling_free_certificate,
     materialize,
 )
 
@@ -212,6 +217,13 @@ def test_fa_refutes_evens_with_congruence_certificate():
         (1, 2), (1, 1), congruence_structures(EVENS_RULE)
     )
     assert cert is not None and cert["modulus"] == 2
+    # the failing cell (0, 0) comes before the structural cell (0, 1): the scan
+    # must go on past a failing cell while the rule has analyzers
+    rep = fa_grid_report(
+        materialize(EVENS_RULE, 64), (1, 2), GridParams(nmax=1, kmax=1), rule=EVENS_RULE
+    )
+    assert rep.verdict == REFUTED and rep.witness["cell"] == [0, 1]
+    assert rep.certificate["name"] == "congruence"
 
 
 def test_fa_refutes_dyadic_cell_with_parity_law():
@@ -323,6 +335,109 @@ def test_fsa_witness_implies_fa_witness():
         assert syn.verdict == WITNESSED
         plain = fa_grid_report(s, a, GridParams(nmax=grid.nmax, kmax=kmax))
         assert plain.verdict == WITNESSED
+
+
+# ---------------------------------------------------------------------------
+# grid reports against a per-cell oracle
+
+
+def _analyzers(rule):
+    return (congruence_structures(rule), doubling_free_certificate(rule)) if rule else ((), None)
+
+
+def _oracle_fa(s, a, grid, rule):
+    """fa_grid_report by brute force: every cell, every k, no early stop."""
+    cs, dbl = _analyzers(rule)
+    h, members = s.horizon, set(s)
+    witnesses, structural, failing = [], [], []
+    for cell in itertools.product(range(grid.nmax + 1), repeat=len(a)):
+        known = [k for k in range(1, grid.kmax + 1)
+                 if all(k * ai + ni < h for ai, ni in zip(a, cell))]
+        hits = [k for k in known if all(k * ai + ni in members for ai, ni in zip(a, cell))]
+        cert = structural_cell_certificate(a, cell, cs, dbl)
+        if hits:
+            witnesses.append([list(cell), hits[0]])
+        elif cert is not None:
+            structural.append((cell, cert))
+        else:
+            failing.append((cell, "no-witness" if len(known) == grid.kmax else "horizon-limited"))
+    if structural:
+        cell, cert = structural[0]
+        return WindowReport(REFUTED, {"cell": list(cell), "vector": list(a)}, h, PROOF, cert)
+    if failing:
+        cell, reason = failing[0]
+        tag = HOLDS_ON_WINDOW if reason == "horizon-limited" else REFUTED_ON_WINDOW
+        return WindowReport(
+            UNDETERMINED, {"cell": list(cell), "reason": reason, "vector": list(a)}, h, tag
+        )
+    payload = {"cells": len(witnesses), "max_k": max(k for _, k in witnesses), "vector": list(a)}
+    if len(witnesses) <= 512:
+        payload["witnesses"] = witnesses
+    return WindowReport(WITNESSED, payload, h, HOLDS_ON_GRID)
+
+
+def _oracle_fsa(s, a, grid, rule):
+    """fsa_grid_report by brute force: every cell, every m, no early stop."""
+    cs, dbl = _analyzers(rule)
+    h, members, g = s.horizon, set(s), grid.g
+    structural, failing, max_gap = [], [], 0
+    cells = list(itertools.product(range(grid.nmax + 1), repeat=len(a)))
+    for cell in cells:
+        m_eff = min((h - 1 - ni) // ai for ai, ni in zip(a, cell))
+        b = [m for m in range(1, m_eff + 1)
+             if all(ai * m + ni in members for ai, ni in zip(a, cell))]
+        cert = structural_cell_certificate(a, cell, cs, dbl)
+        if m_eff < 1:
+            failing.append((cell, {"reason": "horizon-limited"}))
+        elif not b and cert is not None:
+            structural.append((cell, cert))
+        elif not b:
+            failing.append((cell, {"reason": "empty-on-window"}))
+        else:
+            # anchored gaps on [0, m_eff]: the start, successive members, the tail
+            gaps = [(None, b[0], b[0])] + [(x, y, y - x) for x, y in zip(b, b[1:])]
+            gaps.append((b[-1], None, m_eff - b[-1]))
+            bad = [(x, y) for x, y, d in gaps if d > g]
+            if bad:
+                failing.append((cell, {"gap_from": bad[0][0], "gap_to": bad[0][1],
+                                       "reason": "gap-exceeded"}))
+            else:
+                max_gap = max([max_gap, b[0]] + [y - x for x, y in zip(b, b[1:])])
+    if structural:
+        cell, cert = structural[0]
+        return WindowReport(REFUTED, {"cell": list(cell), "vector": list(a)}, h, PROOF, cert)
+    if failing:
+        cell, info = failing[0]
+        tag = HOLDS_ON_WINDOW if info["reason"] == "horizon-limited" else REFUTED_ON_WINDOW
+        return WindowReport(UNDETERMINED, dict(info, cell=list(cell), vector=list(a)), h, tag)
+    return WindowReport(
+        WITNESSED, {"cells": len(cells), "max_gap": max_gap, "g": g, "vector": list(a)},
+        h, HOLDS_ON_GRID,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.booleans(), min_size=1, max_size=40),
+    complete=st.booleans(),
+    rule=st.sampled_from(
+        [None, EVENS_RULE, ArithmeticProgression(1, 3), ArithmeticProgression(2, 4), DYADIC_RULE]
+    ),
+    a=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    nmax=st.integers(min_value=0, max_value=3),
+    kmax=st.integers(min_value=1, max_value=12),
+    g=st.integers(min_value=1, max_value=6),
+)
+def test_grid_reports_match_per_cell_oracle(bits, complete, rule, a, nmax, kmax, g):
+    mask = np.array(bits)
+    mask[0] = False
+    if rule is not None:  # a window of the rule's set, thinned at random
+        mask &= materialize(rule, len(bits)).mask
+    s = WindowedSet.from_mask(mask, complete)
+    a = tuple(a)
+    grid = GridParams(nmax=nmax, kmax=kmax, g=g)
+    assert fa_grid_report(s, a, grid, rule=rule) == _oracle_fa(s, a, grid, rule)
+    assert fsa_grid_report(s, a, grid, rule=rule) == _oracle_fsa(s, a, grid, rule)
 
 
 # ---------------------------------------------------------------------------
