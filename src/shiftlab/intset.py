@@ -14,6 +14,7 @@ describe subsets of {1, 2, ...} even though windows index from 0.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -27,8 +28,10 @@ from .errors import CapExceeded, ConfigError, HorizonExhausted
 # Maximum nesting depth for composite set rules.
 MAX_RULE_DEPTH = 16
 
-# members * horizon guard for the bit-fold difference kernel (~1 GiB of
-# word traffic).  Larger requests fail loudly instead of thrashing.
+# members * horizon guard checked before the difference kernel picks a path:
+# it admits inputs to both the big-int shift-or (~1 GiB of word traffic at
+# the cap) and the FFT correlation.  Larger requests fail loudly instead of
+# thrashing.
 _DIFFERENCE_COST_CAP = 1 << 34
 
 # Moduli probed when deriving congruence structure from a rule.
@@ -402,14 +405,144 @@ def _int_to_mask(x: int, h: int) -> np.ndarray:
     return bits[:h].astype(bool)
 
 
-def _shifted_or(base_mask: np.ndarray, shifts: Sequence[int], h: int) -> np.ndarray:
-    """Bits d in [0, h) with base_mask[d + s] set for some shift s."""
+def _bigint_shifted_or(base_mask: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
+    """Bits d in [0, h) with base_mask[d + s] set for some shift s; one shift-or each."""
+    h = base_mask.size
     acc = 0
     base = _mask_to_int(base_mask)
     for s in shifts:
         acc |= base >> int(s)
     acc &= (1 << h) - 1
     return _int_to_mask(acc, h)
+
+
+def _smooth_length(m: int) -> int:
+    """The least 2^a * 3^b >= m (m >= 1)."""
+    best, p3 = 1 << (m - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << ((m - 1) // p3).bit_length())
+        p3 *= 3
+    return best
+
+
+def _fft_correlation(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """c[d] = #{s in shifts : base_mask[d + s]} for d in [0, h), in floating point.
+
+    ``shifts`` (increasing, each < h) default to the members of ``base_mask``:
+    an autocorrelation, which takes one forward transform and |F|^2.  The
+    transform is padded to a 2^a 3^b length of at least h + (largest shift),
+    so that no lag wraps round onto [0, h).
+    """
+    h = base_mask.size
+    members = np.flatnonzero(base_mask) if shifts is None else shifts
+    n = _smooth_length(h + (int(members[-1]) if members.size else 0))
+    pad = np.zeros(n)
+    pad[:h] = base_mask
+    spec = np.fft.rfft(pad)
+    if shifts is None:
+        del pad
+        spec *= spec.conj()
+    else:
+        pad[:h] = 0
+        pad[shifts] = 1
+        other = np.fft.rfft(pad)
+        del pad
+        np.conj(other, out=other)
+        spec *= other
+        del other
+    return np.fft.irfft(spec, n)[:h]
+
+
+def _fft_shifted_or(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """The bits of :func:`_bigint_shifted_or` by correlation; exact while its error bound < 0.5."""
+    return _fft_correlation(base_mask, shifts) > 0.5
+
+
+# Unit roundoff of float64, and the error assumed of pocketfft's twiddle factors.
+_U = 2.0**-53
+_MU = 2 * _U
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def _fft_error_bound(n: int, m_base: int, m_shift: int) -> float:
+    """A-priori bound on max_d |computed - exact| of :func:`_fft_correlation`.
+
+    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed., 2002),
+    Theorem 24.2: a radix-2 FFT of t stages has normwise relative error at
+    most eps = t*eta / (1 - t*eta), eta = mu + gamma_4 (sqrt(2) + mu), mu the
+    twiddle error.  Every mixed-radix or real-data pass of a length-n
+    transform is charged as two radix-2 stages: t = 2*ceil(log2 n).
+
+    With x, y the padded 0/1 inputs (m_base and m_shift ones), X = Fx,
+    Y = Fy, P = conj(Y) X and c = F^-1 P the exact correlation:
+
+    - ||X^ - X||_2 <= eps sqrt(n m_base), ||X||_inf <= m_base; so for Y;
+    - a complex product has relative error rho = sqrt(2) gamma_2 (Lemma
+      3.5), so ||P^ - P||_2 / sqrt(n) <= s = (1 + rho) eps (sqrt(m_shift)
+      (m_base + eps sqrt(n m_base)) + m_shift sqrt(m_base)) + rho m_shift
+      sqrt(m_base), times sqrt(2) for the half spectrum irfft mirrors;
+    - the inverse has relative error e = (1 + eps)(1 + gamma_2) - 1 (its
+      1/n scaling is two roundings), so ||c^ - c||_2 <= e (||c||_2 + s) + s,
+      where ||c||_2 <= sqrt(m_base m_shift min(m_base, m_shift)) because c
+      sums to m_base m_shift and no entry exceeds min(m_base, m_shift).
+
+    The max norm is at most the 2-norm, and c is integral, so a bound below
+    0.5 makes thresholding at 0.5 exact.
+    """
+    t = 2 * max(1, (n - 1).bit_length())
+    eta = _MU + _gamma(4) * (math.sqrt(2) + _MU)
+    eps = t * eta / (1 - t * eta)
+    rho = math.sqrt(2) * _gamma(2)
+    root_b, root_s = math.sqrt(m_base), math.sqrt(m_shift)
+    s = math.sqrt(2) * (
+        (1 + rho) * eps * (root_s * (m_base + eps * math.sqrt(n) * root_b) + m_shift * root_b)
+        + rho * m_shift * root_b
+    )
+    e = (1 + eps) * (1 + _gamma(2)) - 1
+    c_norm = math.sqrt(m_base * m_shift * min(m_base, m_shift))
+    return e * (c_norm + s) + s
+
+
+# The FFT path runs only while its error bound is below this, half of the 0.5
+# that thresholding absorbs.
+_FFT_ERROR_LIMIT = 0.25
+
+
+def _use_fft(h: int, top: int, m_base: int, m_shift: int, auto: bool) -> bool:
+    """Whether the FFT path is exact by its error bound and the cheaper path.
+
+    Fitted on numpy 2.4, 2-core Xeon VM, random masks with h from 300 to 10^6:
+    a big-int shift-or of h bits costs about 0.93 * h^0.75 ns (the fixed cost
+    of each int operation fades as h grows), and a correlation of length n
+    about 2 ns * n log2 n per transform (two for an autocorrelation, three
+    otherwise) plus 15 us.
+    """
+    n = _smooth_length(h + top)
+    if _fft_error_bound(n, m_base, m_shift) >= _FFT_ERROR_LIMIT:
+        return False
+    fft_ns = (2 if auto else 3) * 2.0 * n * math.log2(n) + 15_000
+    return fft_ns < 0.93 * m_shift * h**0.75
+
+
+def _shifted_or(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """Bits d in [0, h) with base_mask[d + s] set for some shift s; h = base_mask.size.
+
+    ``shifts`` are increasing non-negative ints, by default the members of
+    ``base_mask`` (the autocorrelation of a difference set).  Two exact
+    paths give the same bits; :func:`_use_fft` picks the cheaper.
+    """
+    h = base_mask.size
+    auto = shifts is None
+    members = np.flatnonzero(base_mask) if auto else shifts
+    members = members[: np.searchsorted(members, h)]  # a shift >= h moves every bit out
+    m_base = members.size if auto else int(np.count_nonzero(base_mask))
+    top = int(members[-1]) if members.size else 0
+    if _use_fft(h, top, m_base, members.size, auto):
+        return _fft_shifted_or(base_mask, None if auto else members)
+    return _bigint_shifted_or(base_mask, members.tolist())
 
 
 def difference_set(s: WindowedSet) -> WindowedSet:
@@ -423,7 +556,7 @@ def difference_set(s: WindowedSet) -> WindowedSet:
             f"difference set of {len(s)} members at horizon "
             f"{s.horizon} exceeds the kernel cost cap"
         )
-    out = _shifted_or(s.mask, s.values.tolist(), s.horizon)
+    out = _shifted_or(s.mask)
     out[0] = False
     return WindowedSet.from_mask(out, complete=False)
 
@@ -433,7 +566,7 @@ def cross_difference(subtrahend: WindowedSet, minuend: WindowedSet) -> WindowedS
     h = minuend.horizon
     if len(subtrahend) * h > _DIFFERENCE_COST_CAP:
         raise CapExceeded("cross difference exceeds the kernel cost cap")
-    out = _shifted_or(minuend.mask, subtrahend.values.tolist(), h)
+    out = _shifted_or(minuend.mask, subtrahend.values)
     out[0] = False
     return WindowedSet.from_mask(out, complete=False)
 

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import PRESETS, RunConfig, main, render_json, run_config
+from shiftlab.cli import GOLDEN_DIR, PRESETS, RunConfig, main, render_json, run_config
 from shiftlab.errors import ShiftLabError
 
 
@@ -445,6 +447,50 @@ def test_reproduce_matches_golden(capsys, name, arg):
     status, out, _ = run(capsys, *argv)
     assert status == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+NUV_JOB = (
+    "verify --prop nuv --rule full() --point greedy --pointlen 10 --wordlen 2 "
+    "--horizon 18000 --hcmp 4096 --expect witnessed"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce", "thm-wm-point"], ["reproduce", "lemma-nuv"], NUV_JOB.split()],
+    ids=["thm-wm-point", "lemma-nuv", "nuv-job"],
+)
+def test_difference_kernel_path_never_shows_in_stdout(capsys, monkeypatch, argv):
+    outs = []
+    for fft in (False, True):
+        monkeypatch.setattr("shiftlab.intset._use_fft", lambda *args, fft=fft: fft)
+        status, out, _ = run(capsys, *argv)
+        assert status == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    if argv[0] == "reproduce":
+        assert outs[0] == (GOLDEN_DIR / f"{argv[1]}.json").read_text()
+    else:
+        recorded = json.loads(DIGESTS.read_text())[NUV_JOB]["sha256"]
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == recorded
+
+
+def test_difference_cap_exits_2_before_the_kernel(capsys, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel reached past the cost cap")
+
+    monkeypatch.setattr("shiftlab.intset._shifted_or", no_kernel)
+    status, out, err = run(
+        capsys, "diagnose", "--rule", "full()", "--point", "champernowne",
+        "--pointlen", "16", "--family", "nabla(thick(2))", "--wordlen", "1",
+        "--horizon", "400000",
+    )
+    assert (status, out) == (2, "")
+    assert err == (
+        "error: difference set of 203136 members at horizon 400001 exceeds the "
+        "kernel cost cap\n"
+    )
 
 
 def test_reproduce_unknown_preset(capsys):

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.errors import CapExceeded, ConfigError, HorizonExhausted
 from shiftlab.intset import (
+    _DIFFERENCE_COST_CAP,
+    _FFT_ERROR_LIMIT,
     ArithmeticProgression,
     CongruenceStructure,
     DifferenceOf,
@@ -19,6 +21,12 @@ from shiftlab.intset import (
     Translate,
     Union,
     WindowedSet,
+    _bigint_shifted_or,
+    _fft_correlation,
+    _fft_error_bound,
+    _fft_shifted_or,
+    _smooth_length,
+    _use_fft,
     congruence_structures,
     cross_difference,
     difference_set,
@@ -209,6 +217,177 @@ def test_cross_difference():
     b = ws([2, 6], 10)
     # {b - a : b in B, a in A, b > a} = {2-1, 6-1, 6-4} = {1, 2, 5}
     assert tuple(cross_difference(a, b)) == (1, 2, 5)
+
+
+# ---------------------------------------------------------------------------
+# the two paths of the difference kernel
+
+
+def assert_paths_agree(base, shifts=None):
+    """Both kernel paths give the same bits, and the FFT error stays in its bound.
+
+    ``shifts`` is a subtrahend mask of any horizon; None correlates ``base``
+    with itself, as difference_set does.
+    """
+    h = base.size
+    members = np.flatnonzero(base if shifts is None else shifts[:h])
+    fft_shifts = None if shifts is None else members
+    big = _bigint_shifted_or(base, members.tolist())
+    assert big.shape == base.shape
+    assert np.array_equal(_fft_shifted_or(base, fft_shifts), big)
+    raw = _fft_correlation(base, fft_shifts)
+    top = int(members[-1]) if members.size else 0
+    bound = _fft_error_bound(_smooth_length(h + top), int(base.sum()), members.size)
+    assert float(np.abs(raw - np.round(raw)).max(initial=0.0)) <= bound < _FFT_ERROR_LIMIT
+
+
+def shaped_masks(max_h):
+    """Masks up to max_h long: random, empty, one member, the ends, all ones."""
+
+    def shapes(h):
+        ends = [False] * h
+        ends[0] = ends[-1] = True
+        one = st.integers(0, h - 1).map(lambda i: [j == i for j in range(h)])
+        return st.one_of(
+            st.lists(st.booleans(), min_size=h, max_size=h),
+            st.just([False] * h),
+            st.just([True] * h),
+            st.just(ends),
+            one,
+        )
+
+    return st.integers(1, max_h).flatmap(shapes).map(lambda bits: np.array(bits, dtype=bool))
+
+
+@settings(max_examples=300)
+@given(shaped_masks(120))
+@example(np.array([1, 0, 1, 0, 0], dtype=bool))  # h + top - 1 = 6 is 3-smooth
+@example(np.array([1, 0, 0, 1, 0, 0], dtype=bool))  # 8 is
+@example(np.array([1], dtype=bool))
+def test_autocorrelation_paths_agree(base):
+    assert_paths_agree(base)
+
+
+@settings(max_examples=300)
+@given(shaped_masks(120), shaped_masks(160))
+@example(np.array([0, 0, 1, 0, 0], dtype=bool), np.array([1, 0, 1], dtype=bool))
+@example(np.array([1, 0, 0, 1], dtype=bool), np.array([1, 0, 0, 0, 0, 0, 1], dtype=bool))
+def test_cross_correlation_paths_agree(minuend, subtrahend):
+    assert_paths_agree(minuend, subtrahend)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(20_000, 60_000), st.floats(0.25, 0.5), st.integers(0, 2**32 - 1), st.booleans())
+def test_paths_agree_where_the_model_takes_fft(h, density, seed, auto):
+    rng = np.random.default_rng(seed)
+    base = rng.random(h) < density
+    shifts = None if auto else rng.random(h + 500) < density
+    members = np.flatnonzero(base if auto else shifts[:h])
+    assert _use_fft(h, int(members[-1]), int(base.sum()), members.size, auto)
+    assert_paths_agree(base, shifts)
+
+
+def test_public_kernels_return_the_same_bits_on_both_paths(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = WindowedSet.from_mask(rng.random(3000) < 0.3)
+    b = WindowedSet.from_mask(rng.random(2500) < 0.3)
+    outs = []
+    for fft in (False, True):
+        monkeypatch.setattr("shiftlab.intset._use_fft", lambda *args, fft=fft: fft)
+        outs.append([difference_set(a), cross_difference(a, b), cross_difference(b, a)])
+    for big, fft in zip(*outs):
+        assert np.array_equal(big.mask, fft.mask) and not big.complete and not fft.complete
+
+
+def test_smooth_length_is_the_least_3_smooth_at_or_above():
+    def smooth(k):
+        for p in (2, 3):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    expected = [next(k for k in range(m, 2 * m + 1) if smooth(k)) for m in range(1, 3000)]
+    assert [_smooth_length(m) for m in range(1, 3000)] == expected
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 10**14).flatmap(
+        lambda h: st.tuples(
+            st.just(h), st.integers(0, h - 1), st.integers(0, h), st.integers(0, h)
+        )
+    ),
+    st.booleans(),
+)
+@example((10**12, 10**12 - 1, 10**11, 10**11), False)
+@example((10**12, 10**12 - 1, 10**9, 10**9), True)
+def test_inexact_fft_is_never_chosen(sizes, auto):
+    # pure arithmetic on the sizes: no mask of h bits is built
+    h, top, m_base, m_shift = sizes
+    if auto:
+        m_shift = m_base
+    bound = _fft_error_bound(_smooth_length(h + top), m_base, m_shift)
+    if bound >= _FFT_ERROR_LIMIT:
+        assert not _use_fft(h, top, m_base, m_shift, auto)
+
+
+def test_error_bound_reaches_the_limit_only_far_past_the_cap():
+    assert _fft_error_bound(_smooth_length(10**12), 10**11, 10**11) >= _FFT_ERROR_LIMIT
+    # the largest inputs the cost cap admits stay far below it
+    for m in (1, 2**10, 2**17):
+        h = _DIFFERENCE_COST_CAP // m
+        assert _fft_error_bound(_smooth_length(2 * h), m, m) < 1e-4
+    tracemalloc.start()
+    try:
+        _use_fft(10**13, 10**13 - 1, 10**12, 10**12, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_real_call_shapes_take_the_measured_cheaper_path():
+    # lemma-nuv: 168 of its 196 cross differences at h = 3584 have ~450 or
+    # ~900 shifts; its 28 with 1792 shifts measured faster by FFT
+    assert not _use_fft(3584, 3577, 1792, 448, False)
+    assert not _use_fft(3584, 3577, 448, 448, False)
+    assert not _use_fft(3584, 3577, 448, 896, False)
+    # thm-wm-point: autocorrelations at h = 100,001 of ~25,000 members
+    assert _use_fft(100_001, 100_000, 25_000, 25_000, True)
+    # the points-families nuv job: h = 18,000 with 4,359 to 9,105 shifts
+    assert _use_fft(17_999, 17_900, 4359, 4359, False)
+
+
+def test_cap_is_checked_before_either_path(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel reached past the cost cap")
+
+    monkeypatch.setattr("shiftlab.intset._shifted_or", no_kernel)
+    h = 2**17 + 1
+    dense = WindowedSet.from_mask(np.ones(h, dtype=bool))
+    with pytest.raises(CapExceeded, match=f"difference set of {h} members at horizon {h} exceeds"):
+        difference_set(dense)
+    with pytest.raises(CapExceeded, match="cross difference exceeds the kernel cost cap"):
+        cross_difference(dense, dense)
+
+
+def test_fft_difference_set_near_a_million_holds_two_transform_arrays():
+    rng = np.random.default_rng(3)
+    h, m = 10**6, 15_000
+    mask = np.zeros(h, dtype=bool)
+    mask[rng.choice(h, m, replace=False)] = True
+    s = WindowedSet.from_mask(mask)
+    top = int(s.values[-1])
+    assert _use_fft(h, top, m, m, True)
+    n = _smooth_length(h + top)
+    tracemalloc.start()
+    try:
+        d = difference_set(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
+    assert d.horizon == h and len(d) > m
 
 
 # ---------------------------------------------------------------------------
