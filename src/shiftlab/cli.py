@@ -232,6 +232,8 @@ def _echo(config: RunConfig, **extra) -> dict:
 
 def _run_check(config: RunConfig) -> dict:
     rule = parse_shift_rule(config.rule)
+    if config.vector and config.mode != "plain":
+        raise ConfigError(f"--mode {config.mode} does not apply to --vector sweeps")
     if config.delta:
         if not config.vector:
             raise ShiftLabError("check --delta needs --vector")
@@ -300,7 +302,7 @@ def _run_verify(config: RunConfig) -> dict:
     if config.prop == "nuv":
         point = _cached_point(config, rule)
         h = min(config.horizon, len(point))
-        h_cmp = config.hcmp if config.hcmp else h // 4
+        h_cmp = config.hcmp if config.hcmp is not None else h // 4
         pairs = verify_nuv_pairs(rule, point, config.wordlen, h, h_cmp)
         mismatched = [[r.u, r.v, list(r.mismatches[:8])] for r in pairs if not r.equal]
         verdict = WITNESSED if not mismatched else UNDETERMINED

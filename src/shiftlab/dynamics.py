@@ -11,6 +11,7 @@ supply one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import re
@@ -117,19 +118,59 @@ def _index_tuples(width: int, k: int) -> np.ndarray:
 
 
 def _hits(
-    rule: ShiftRule,
-    coefs: Sequence[int],
-    cylinders: list[Cylinder],
-    h: int,
-    out: np.ndarray | None = None,
+    rule: ShiftRule, coefs: Sequence[int], cylinders: list[Cylinder], h: int
 ) -> Iterator[tuple[list[int], int, np.ndarray, Callable[[], HitAnalysis]]]:
     """(tuple, least witness or 0, window mask, its analysis) for every tuple of
     cylinders placed at ``coefs``, in lexicographic order, a kernel chunk at a time."""
     tuples = _index_tuples(len(cylinders), len(coefs))
-    for start, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h, out):
+    for start, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
         firsts = masks.argmax(axis=1).tolist()  # 0 is never a member: 0 means none
         for i, tup in enumerate(tuples[start : start + len(masks)].tolist()):
             yield tup, firsts[i], masks[i], functools.partial(analysis, i)
+
+
+def _mask_ids(
+    rule: ShiftRule, coords: Sequence[Sequence[int]], cylinders: list[Cylinder],
+    tuples: np.ndarray, h: int,
+) -> tuple[np.ndarray, np.ndarray, Callable[[int, int], HitAnalysis]]:
+    """Number the distinct hitting masks of ``tuples`` placed at each coordinate.
+
+    Returns the distinct masks, one ``np.packbits`` row each; ``ids``, with
+    row ``ids[i, t]`` the window of tuple t placed at ``coords[i]``; and
+    ``read(i, t)``, that window's HitAnalysis.  A chunk's distinct rows are
+    matched to the masks numbered before it by their exact packed bytes, so
+    no earlier mask is sorted again.
+    """
+    numbered = {}  # packed mask -> id, in id order
+    ids = np.empty((len(coords), len(tuples)), dtype=np.int64)
+    starts, analyses = [[] for _ in coords], [[] for _ in coords]
+    for i, coefs in enumerate(coords):
+        for start, batch, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+            keys, inverse = unique_rows(batch)
+            found = [numbered.setdefault(np.packbits(k).tobytes(), len(numbered)) for k in keys]
+            ids[i, start : start + len(batch)] = np.array(found)[inverse]
+            starts[i].append(start)
+            analyses[i].append(analysis)
+
+    def read(i: int, t: int) -> HitAnalysis:
+        c = bisect.bisect_right(starts[i], t) - 1
+        return analyses[i][c](t - starts[i][c])
+
+    packed = np.frombuffer(b"".join(numbered), dtype=np.uint8).reshape(len(numbered), -1)
+    return packed, ids, read
+
+
+def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Every family (one tuple per coordinate, in lexicographic order) and the
+    least n in all of its windows at once, or 0; one AND per distinct family."""
+    families = _index_tuples(ids.shape[1], len(ids))
+    combos, inverse = unique_rows(ids[np.arange(len(ids)), families])
+    rows = chunk_rows(packed.shape[1] * 8 * len(ids))
+    firsts = np.concatenate([  # 0 is never a member: 0 means none
+        np.unpackbits(np.bitwise_and.reduce(packed[key], axis=1), axis=1).argmax(axis=1)
+        for key in (combos[lo : lo + rows] for lo in range(0, len(combos), rows))
+    ])
+    return families, firsts[inverse].tolist()
 
 
 def _first_run(mask: np.ndarray, run: int) -> int | None:
@@ -196,31 +237,16 @@ def check_a_transitive(
         raise PreconditionError("vector entries must be >= 1")
     cylinders = sweep_cylinders(rule, length)
     names = [str(c.word) for c in cylinders]
-    pairs = [(names[u], names[v]) for u, v in _index_tuples(len(cylinders), 2).tolist()]
-    # per stride, the window and the analysis of every pair
-    tables, readers = [], []
-    for ai in a:
-        tables.append(np.zeros((len(pairs), h + 1), dtype=bool))
-        readers.append([read for *_, read in _hits(rule, (0, ai), cylinders, h, tables[-1])])
-
-    # tuples in lexicographic order: for each prefix of pairs the last pair
-    # runs over a contiguous block of the last table
-    rows = chunk_rows(h + 1)
+    pairs = _index_tuples(len(cylinders), 2)
+    packed, ids, read = _mask_ids(rule, [(0, ai) for ai in a], cylinders, pairs, h)
+    families, firsts = _family_firsts(packed, ids)
+    pair_words = [(names[u], names[v]) for u, v in pairs.tolist()]
+    empty = np.zeros(h + 1, dtype=bool)  # the common window of every failing family
     outcomes = []
-    for prefix in itertools.product(range(len(pairs)), repeat=len(a) - 1):
-        windows = [table[p] for table, p in zip(tables, prefix)]
-        common = functools.reduce(np.logical_and, windows) if windows else None
-        for start in range(0, len(pairs), rows):
-            combined = tables[-1][start : start + rows]
-            if common is not None:
-                combined = combined & common
-            for last, first in enumerate(combined.argmax(axis=1).tolist(), start):
-                tup = [*prefix, last]
-                words = tuple(w for p in tup for w in pairs[p])
-                outcomes.append(_outcome(
-                    rule, words, first, combined[last - start],
-                    lambda: [read[p]() for read, p in zip(readers, tup)], h,
-                ))
+    for family, first in zip(families.tolist(), firsts):
+        words = sum(map(pair_words.__getitem__, family), ())
+        analyses = lambda family=family: [read(i, p) for i, p in enumerate(family)]
+        outcomes.append(_outcome(rule, words, first, empty, analyses, h))
     return _close(
         rule, "check_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -288,22 +314,10 @@ def _check_scale(rule: ShiftRule, point: GeneratedPoint, scale: int) -> None:
             )
 
 
-def verify_nuv(
-    rule: ShiftRule,
-    point: GeneratedPoint,
-    u: Word,
-    v: Word,
-    h: int,
-    h_cmp: int,
-    window: np.ndarray | None = None,
-) -> NuvReport:
-    """Check N(U,V) against N(x,V) - N(x,U) on a truncation-safe window.
-
-    Every difference of entering times is a genuine hitting time, so the
-    difference set must embed in the hitting window exactly; the converse
-    can miss only through window truncation, and those misses are
-    reported.  ``window`` (the hitting mask over [0, h_cmp]) may be given.
-    """
+def _check_nuv(
+    rule: ShiftRule, point: GeneratedPoint, h: int, h_cmp: int, scales: Sequence[int]
+) -> None:
+    """The preconditions of the N(U,V) comparison, for words of the given lengths."""
     if h_cmp < 1 or h_cmp > h // 2:
         raise PreconditionError("h_cmp must lie in [1, h/2]")
     if len(point) < h:
@@ -315,12 +329,16 @@ def verify_nuv(
             f"the point's prefix is not admissible under {rule.literal()}, so its "
             "entering-time differences need not be hitting times"
         )
-    _check_scale(rule, point, max(u.length, v.length))
-    wu = entering_window(rule, point, u, h - u.length)
-    wv = entering_window(rule, point, v, h - v.length)
+    for scale in scales:
+        _check_scale(rule, point, scale)
+
+
+def _compare_nuv(
+    rule: ShiftRule, u: Word, v: Word, h: int, h_cmp: int,
+    wu: WindowedSet, wv: WindowedSet, window: np.ndarray,
+) -> NuvReport:
+    """Compare the hitting mask over [0, h_cmp] with the entering windows' differences."""
     diffs = cross_difference(wu, wv).restrict(h_cmp + 1)
-    if window is None:
-        window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp).mask
     # both windows cover [0, h_cmp]; neither ever holds 0
     stray = np.flatnonzero(diffs.mask & ~window)
     if stray.size:
@@ -329,32 +347,52 @@ def verify_nuv(
             "hitting window; the inclusion is exact and this indicates a kernel bug"
         )
     mismatches = tuple(np.flatnonzero(window & ~diffs.mask).tolist())
-    return NuvReport(
-        rule.literal(),
-        str(u),
-        str(v),
-        h,
-        h_cmp,
-        not mismatches,
-        mismatches,
-        {"window": int(np.count_nonzero(window)), "differences": len(diffs)},
-    )
+    sizes = {"window": int(np.count_nonzero(window)), "differences": len(diffs)}
+    return NuvReport(rule.literal(), str(u), str(v), h, h_cmp, not mismatches, mismatches, sizes)
+
+
+def verify_nuv(
+    rule: ShiftRule,
+    point: GeneratedPoint,
+    u: Word,
+    v: Word,
+    h: int,
+    h_cmp: int,
+) -> NuvReport:
+    """Check N(U,V) against N(x,V) - N(x,U) on a truncation-safe window.
+
+    Every difference of entering times is a genuine hitting time, so the
+    difference set must embed in the hitting window exactly; the converse
+    can miss only through window truncation, and those misses are
+    reported.
+    """
+    _check_nuv(rule, point, h, h_cmp, [max(u.length, v.length)])
+    wu = entering_window(rule, point, u, h - u.length)
+    wv = entering_window(rule, point, v, h - v.length)
+    window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp).mask
+    return _compare_nuv(rule, u, v, h, h_cmp, wu, wv, window)
 
 
 def verify_nuv_pairs(
     rule: ShiftRule, point: GeneratedPoint, wordlen: int, h: int, h_cmp: int
 ) -> list[NuvReport]:
-    """verify_nuv on every pair of words up to length wordlen; one batch per (|u|, |v|)."""
-    if h_cmp < 1 or h_cmp > h // 2:
-        raise PreconditionError("h_cmp must lie in [1, h/2]")
+    """The verify_nuv comparison on every pair of words up to length wordlen.
+
+    The point is checked once and each word's entering window built once;
+    the hitting windows come in one batch per (|u|, |v|).
+    """
+    _check_nuv(rule, point, h, h_cmp, range(1, wordlen + 1))
     words = [w for n in range(1, wordlen + 1) for w in enumerate_admissible_words(rule, n)]
+    entering = [entering_window(rule, point, w, h - w.length) for w in words]
     groups = [[i for i, w in enumerate(words) if w.length == n] for n in range(1, wordlen + 1)]
     cylinders, reports = [Cylinder(w) for w in words], {}
     for us, vs in itertools.product(groups, repeat=2):
         idx = [(i, j) for i in us for j in vs]
         for start, masks, _ in hitting_batches(rule, (0, 1), cylinders, idx, h_cmp):
             for (i, j), mask in zip(idx[start:], masks):
-                reports[i, j] = verify_nuv(rule, point, words[i], words[j], h, h_cmp, mask)
+                reports[i, j] = _compare_nuv(
+                    rule, words[i], words[j], h, h_cmp, entering[i], entering[j], mask
+                )
     return [reports[key] for key in sorted(reports)]
 
 
@@ -431,32 +469,20 @@ def verify_delta_product(
     cylinders = sweep_cylinders(rule, length)
     names = [str(c.word) for c in cylinders]
     tuples = _index_tuples(len(cylinders), n + 1)
-
-    # distinct masks over all coordinates; ids[i, t] numbers tuple t's mask at a_i
-    unique_masks = np.zeros((0, h + 1), dtype=bool)
-    ids = np.empty(len(a) * len(tuples), dtype=np.int64)
-    for i, ai in enumerate(a):
-        coefs = [j * ai for j in range(n + 1)]
-        for start, masks, _ in hitting_batches(rule, coefs, cylinders, tuples, h):
-            done, known = i * len(tuples) + start, len(unique_masks)
-            unique_masks, inverse = unique_rows(np.concatenate([unique_masks, masks]))
-            ids[:done] = inverse[ids[:done]]
-            ids[done : done + len(masks)] = inverse[known:]
-    # one witness per distinct combination of mask ids over the families
-    families = _index_tuples(len(tuples), len(a))
-    combos, inverse = unique_rows(ids.reshape(len(a), -1)[np.arange(len(a)), families])
-    firsts = [first_member(np.logical_and.reduce(unique_masks[key])) for key in combos]
+    coords = [[j * ai for j in range(n + 1)] for ai in a]
+    packed, ids, _ = _mask_ids(rule, coords, cylinders, tuples, h)
+    families, firsts = _family_firsts(packed, ids)
     tuple_words = [tuple(names[w] for w in tup) for tup in tuples.tolist()]
     outcomes = [
-        SweepOutcome(tuple(w for t in family for w in tuple_words[t]), firsts[k])
-        for family, k in zip(families.tolist(), inverse.tolist())
+        SweepOutcome(sum(map(tuple_words.__getitem__, family), ()), first or None)
+        for family, first in zip(families.tolist(), firsts)
     ]
     return _close(
         rule,
         "verify_delta_product",
         {"a": list(a), "n": n, "l": length, "h": h},
         outcomes,
-        {"unique_masks": len(unique_masks)},
+        {"unique_masks": len(packed)},
     )
 
 

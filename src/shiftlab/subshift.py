@@ -439,7 +439,6 @@ def hitting_batches(
     cylinders: Sequence[Cylinder],
     tuples: np.ndarray | Sequence[Sequence[int]],
     h: int,
-    out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, Callable[[int], HitAnalysis]]]:
     """Hitting windows of many tuples placed alike, one chunk of tuples at a time.
 
@@ -448,8 +447,7 @@ def hitting_batches(
     ``(start, masks, analysis)``: ``masks[i]`` is the window over [0, H] of
     tuple ``start + i`` (n such that the superposition at n is admissible;
     exact by zero-fill) and ``analysis(i)`` its HitAnalysis.  The masks share
-    one buffer, overwritten by the next chunk, unless ``out`` is given: a
-    zeroed (T, H+1) bool array whose rows they then are.
+    one buffer, overwritten by the next chunk.
     """
     if h < 1:
         raise HorizonExhausted("horizon must be >= 1")
@@ -515,12 +513,12 @@ def hitting_batches(
     lo = n_star + 1
     scratch = max([w for _, _, w, _ in steps] + [sum(map(len, groups))])
     rows = chunk_rows(h + 1 + len(cand) + scratch)
-    buffer = np.zeros((min(rows, len(tuples)), h + 1), dtype=bool) if out is None else None
+    buffer = np.zeros((min(rows, len(tuples)), h + 1), dtype=bool)
     for start in range(0, len(tuples), rows):
         idx = tuples[start : start + rows]
         placed = [words[idx[:, j], :l] for j, (_, _, l) in enumerate(template)]
-        masks = buffer[: len(idx)] if out is None else out[start : start + rows]
-        if out is None and start:
+        masks = buffer[: len(idx)]
+        if start:
             masks[:] = False
         for n, blocks, width, reach in steps:
             u = np.zeros((len(idx), width), dtype=bool)
@@ -583,33 +581,6 @@ def hitting_window(rule: ShiftRule, u: Cylinder, v: Cylinder, h: int) -> Windowe
     """N([u],[v]) on [1,H]: times n with U meeting the n-preimage of V."""
     window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
     return window
-
-
-def multi_hitting_analysis(
-    rule: ShiftRule,
-    a: Sequence[int],
-    pairs: Sequence[tuple[Cylinder, Cylinder]],
-    h: int,
-) -> tuple[WindowedSet, list[HitAnalysis]]:
-    if len(a) != len(pairs):
-        raise PreconditionError("need as many pairs as vector entries")
-    if any(ai < 1 for ai in a):
-        raise PreconditionError("vector entries must be positive")
-    hits = [linear_hitting(rule, [(0, u), (ai, v)], h) for ai, (u, v) in zip(a, pairs)]
-    mask = np.arange(h + 1) > 0
-    for window, _ in hits:
-        mask &= window.mask
-    return WindowedSet.from_mask(mask), [analysis for _, analysis in hits]
-
-
-def delta_hitting_analysis(
-    rule: ShiftRule, a: Sequence[int], cylinders: Sequence[Cylinder], h: int
-) -> tuple[WindowedSet, HitAnalysis]:
-    if len(cylinders) != len(a) + 1:
-        raise PreconditionError("need r+1 cylinders for a length-r vector")
-    if any(ai < 1 for ai in a):
-        raise PreconditionError("vector entries must be positive")
-    return linear_hitting(rule, [(0, cylinders[0]), *zip(a, cylinders[1:])], h)
 
 
 def emptiness_certificate(

@@ -27,6 +27,7 @@ from shiftlab.intset import (
     DyadicBlocks,
     Explicit,
     Naturals,
+    WindowedSet,
     materialize,
 )
 from shiftlab.points import build_transitive_point, champernowne, entering_window, periodic_point
@@ -36,13 +37,11 @@ from shiftlab.subshift import (
     Spacing,
     TripleRatio,
     Word,
-    delta_hitting_analysis,
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_window,
     is_admissible,
     linear_hitting,
-    multi_hitting_analysis,
 )
 from shiftlab.dynamics import (
     FAILS_ON_WINDOW,
@@ -114,9 +113,9 @@ def test_criterion_02_parity_law_excludes_12_multi():
 
         rule = Spacing(DyadicBlocks())
         one = Cylinder(W("1"))
-        window, analyses = multi_hitting_analysis(
-            rule, (1, 2), [(one, one), (one, one)], 10**6
-        )
+        hits = [linear_hitting(rule, [(0, one), (ai, one)], 10**6) for ai in (1, 2)]
+        window = WindowedSet.from_mask(hits[0][0].mask & hits[1][0].mask)
+        analyses = [analysis for _, analysis in hits]
         assert tuple(window) == ()
         cert = emptiness_certificate(rule, window, analyses, 10**6)
         assert cert is not None and cert["name"] == "parity-law"
@@ -131,7 +130,7 @@ def test_criterion_03_delta_examples_with_triple_law():
         assert pos.verdict == WITNESSED
 
         one = Cylinder(W("1"))
-        window, analyses = delta_hitting_analysis(rule, (1, 3), [one] * 3, 10**6)
+        window, analyses = linear_hitting(rule, [(0, one), (1, one), (3, one)], 10**6)
         assert tuple(window) == ()
         cert = emptiness_certificate(rule, window, analyses, 10**6)
         assert cert is not None and cert["name"] == "triple-law"

@@ -138,6 +138,25 @@ def test_thick_sweep_at_a_million_holds_one_window_at_a_time(capsys):
     assert peak <= 5 * 2**20
 
 
+def test_multi_sweep_at_a_million_holds_distinct_windows_only(capsys):
+    # the 2 x 64 pair windows of 1 MB held at once would take 128 MB; on
+    # full() they hold 4 and 2 distinct windows
+    argv = [
+        "check", "--rule", "full()", "--vector", "1,2", "--wordlen", "3",
+        "--horizon", "1000000",
+    ]
+    assert run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert status == 0
+    assert peak <= 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # schema and determinism
 
@@ -273,7 +292,7 @@ def test_verify_nuv(capsys):
     assert report["witnesses"]["mismatched"] == []
 
 
-@pytest.mark.parametrize("hcmp", ["-1", "351", str(10**11)])
+@pytest.mark.parametrize("hcmp", ["-1", "0", "351", str(10**11)])
 def test_verify_nuv_hcmp_out_of_range_is_one_line_error(capsys, hcmp):
     # checked before any hitting window is built: 10**11 would not fit in memory
     status, out, err = run(
@@ -283,6 +302,18 @@ def test_verify_nuv_hcmp_out_of_range_is_one_line_error(capsys, hcmp):
     )
     assert (status, out) == (2, "")
     assert err == "error: h_cmp must lie in [1, h/2]\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--mode", "thick(3)"], ["--delta", "--mode", "cofinite_from"]]
+)
+def test_vector_sweeps_reject_a_mode_other_than_plain(capsys, flags):
+    argv = ["check", "--rule", "full()", "--vector", "1,2", "--wordlen", "1", "--horizon", "8"]
+    status, out, err = run(capsys, *argv, *flags)
+    assert (status, out) == (2, "")
+    assert err == f"error: --mode {flags[-1]} does not apply to --vector sweeps\n"
+    status, out, _ = run(capsys, *argv, *flags[:-2], "--mode", "plain")
+    assert status == 0 and json.loads(out)["config"]["mode"] is None
 
 
 def test_verify_orbit_closure(capsys):
@@ -474,6 +505,20 @@ def test_difference_kernel_path_never_shows_in_stdout(capsys, monkeypatch, argv)
     else:
         recorded = json.loads(DIGESTS.read_text())[NUV_JOB]["sha256"]
         assert hashlib.sha256(outs[0].encode()).hexdigest() == recorded
+
+
+MULTI_JOBS = [
+    job for job in json.loads(DIGESTS.read_text())
+    if job.startswith("check ") and "--vector" in job and "--delta" not in job
+]
+
+
+@pytest.mark.parametrize("job", MULTI_JOBS)
+def test_multi_sweeps_print_the_recorded_bytes(capsys, job):
+    status, out, _ = run(capsys, *job.split())
+    assert status == 0
+    recorded = json.loads(DIGESTS.read_text())[job]["sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
 def test_difference_cap_exits_2_before_the_kernel(capsys, monkeypatch):

@@ -21,19 +21,24 @@ from shiftlab.points import (
     entering_window,
     periodic_point,
 )
+from shiftlab import subshift
 from shiftlab.subshift import (
     Cylinder,
     FullShift,
     Spacing,
     TripleRatio,
     Word,
-    delta_hitting_analysis,
+    enumerate_admissible_words,
+    hitting_batches,
     hitting_window,
     is_admissible,
-    multi_hitting_analysis,
+    linear_hitting,
+    parse_shift_rule,
 )
 from shiftlab.dynamics import (
     FAILS_ON_WINDOW,
+    _index_tuples,
+    _mask_ids,
     check_a_transitive,
     check_delta_a_transitive,
     check_transitive,
@@ -41,6 +46,7 @@ from shiftlab.dynamics import (
     sweep_cylinders,
     verify_delta_product,
     verify_nuv,
+    verify_nuv_pairs,
     verify_orbit_closure_prop,
 )
 
@@ -53,6 +59,9 @@ def evens_rule():
 
 def dyadic_rule():
     return Spacing(DyadicBlocks())
+
+
+RULE_TEXTS = ["full()", "spacing(dyadic())", "spacing(ap(2,2))", "tripleratio(3)"]
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +152,10 @@ def test_multi_agrees_with_multi_hitting_window():
     cyls = sweep_cylinders(rule, 2)
     pairs = list(itertools.product(cyls, repeat=2))
     for tup, out in zip(itertools.product(pairs, repeat=2), rep.outcomes):
-        window, _ = multi_hitting_analysis(rule, (1, 2), list(tup), 512)
-        expected = window.first()
-        assert out.witness == expected
+        common = set.intersection(*(
+            set(linear_hitting(rule, [(0, u), (ai, v)], 512)[0]) for ai, (u, v) in zip((1, 2), tup)
+        ))
+        assert out.witness == min(common, default=None)
 
 
 def test_multi_validation():
@@ -160,6 +170,58 @@ def test_multi_deterministic_across_threads():
     a = check_a_transitive(rule, (1, 2), 1, 10**4)
     b = check_a_transitive(rule, (1, 2), 1, 10**4)
     assert a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(RULE_TEXTS),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1, 3, None]),
+)
+def test_mask_ids_map_every_tuple_to_its_window(text, length, strides, product, h, rows):
+    # coordinates placed as a multi sweep, (0, a_i), or as a product, (0, a_i, 2 a_i)
+    rule = parse_shift_rule(text)
+    k = 3 if product else 2
+    coords = [tuple(j * ai for j in range(k)) for ai in strides]
+    cylinders = sweep_cylinders(rule, length)
+    tuples = _index_tuples(len(cylinders), k)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(subshift, "chunk_rows", lambda row_bytes: rows)
+        packed, ids, read = _mask_ids(rule, coords, cylinders, tuples, h)
+    assert ids.shape == (len(coords), len(tuples))
+    assert len({row.tobytes() for row in packed}) == len(packed)
+    for i, coefs in enumerate(coords):
+        for start, batch, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+            for j, mask in enumerate(batch):
+                unpacked = np.unpackbits(packed[ids[i, start + j]], count=h + 1)
+                assert np.array_equal(unpacked.astype(bool), mask)
+                assert read(i, start + j) == analysis(j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(RULE_TEXTS),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True).map(sorted),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=64),
+    st.booleans(),
+)
+def test_multi_and_product_reports_do_not_depend_on_history(text, a, length, h, product):
+    def sweep(rule):
+        if product:
+            return verify_delta_product(rule, a, 2, length, h)
+        return check_a_transitive(rule, a, length, h)
+
+    fresh = sweep(parse_shift_rule(text))
+    warm = parse_shift_rule(text)
+    check_transitive(warm, length + 1, 4 * h + 50, "plain")
+    check_a_transitive(warm, [x + 1 for x in a], length + 1, 3 * h + 17)
+    warm.pair_mask(10 * h + 100)
+    assert sweep(warm) == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +269,7 @@ def test_delta_witnesses_match_delta_window():
     rep = check_delta_a_transitive(rule, (1, 2), 3, 512)
     cyls = sweep_cylinders(rule, 3)
     for tup, out in zip(itertools.product(cyls, repeat=3), rep.outcomes):
-        window, _ = delta_hitting_analysis(rule, (1, 2), list(tup), 512)
+        window, _ = linear_hitting(rule, list(zip((0, 1, 2), tup)), 512)
         expected = window.first()
         assert out.witness == expected
 
@@ -274,6 +336,29 @@ def test_nuv_report_matches_set_oracle():
     assert seen_mismatch
 
 
+def test_nuv_pairs_equal_verify_nuv_on_each_pair():
+    # a short prefix, so some pairs carry truncation mismatches
+    point = champernowne(4)
+    h, h_cmp = len(point), len(point) // 2
+    words = [w for n in (1, 2) for w in enumerate_admissible_words(FullShift(), n)]
+    got = verify_nuv_pairs(FullShift(), point, 2, h, h_cmp)
+    want = [verify_nuv(FullShift(), point, u, v, h, h_cmp) for u in words for v in words]
+    assert got == want
+    assert any(not rep.equal for rep in got)
+
+
+def test_nuv_pairs_preconditions_match_verify_nuv():
+    with pytest.raises(PreconditionError, match="h_cmp"):
+        verify_nuv_pairs(FullShift(), champernowne(9), 1, 4096, 0)
+    with pytest.raises(PreconditionError, match="shorter than the horizon"):
+        verify_nuv_pairs(FullShift(), champernowne(2), 1, 4096, 1024)
+    zeros = periodic_point(FullShift(), W("0"), 64)
+    with pytest.raises(PreconditionError, match="scale 1: 1 never occurs"):
+        verify_nuv_pairs(FullShift(), zeros, 2, 32, 8)
+    with pytest.raises(PreconditionError, match="not admissible"):
+        verify_nuv_pairs(dyadic_rule(), champernowne(2), 1, 8, 2)
+
+
 def test_nuv_stray_difference_is_a_kernel_bug(monkeypatch):
     import shiftlab.dynamics as dynamics
 
@@ -336,15 +421,13 @@ def test_orbit_closure_two_sided_centered():
 def test_orbit_closure_windows_match_exactly():
     # shifting the reference frame by n*a_1 is a bijection on hits, so the
     # two windows are equal as sets, not merely equinonempty
-    from shiftlab.subshift import linear_hitting
-
     rule = dyadic_rule()
     a = (2, 3, 5)
     a_prime = (1, 3)
     cyls = sweep_cylinders(rule, 1)
     for tup in itertools.product(cyls, repeat=3):
         lhs, _ = linear_hitting(rule, list(zip(a, tup)), 2000)
-        rhs, _ = delta_hitting_analysis(rule, a_prime, list(tup), 2000)
+        rhs, _ = linear_hitting(rule, list(zip((0, *a_prime), tup)), 2000)
         assert tuple(lhs) == tuple(rhs)
 
 
@@ -487,9 +570,7 @@ def test_characterization_cross_check_dyadic():
     # the delta window on ([1],[1],[1]) is empty by the parity law, and the
     # same law shows on the generated point: no k has both x_k and x_2k set
     rule = dyadic_rule()
-    window, _ = delta_hitting_analysis(
-        rule, (1, 2), [Cylinder(W("1"))] * 3, 10**4
-    )
+    window, _ = linear_hitting(rule, list(zip((0, 1, 2), [Cylinder(W("1"))] * 3)), 10**4)
     assert tuple(window) == ()
 
     point = build_transitive_point(rule, 4, 4096)

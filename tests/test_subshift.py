@@ -33,6 +33,7 @@ from shiftlab.intset import (
     Naturals,
     Translate,
     Union,
+    WindowedSet,
     materialize,
 )
 from shiftlab.subshift import (
@@ -42,13 +43,11 @@ from shiftlab.subshift import (
     TripleRatio,
     Word,
     cyl,
-    delta_hitting_analysis,
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_window,
     is_admissible,
     linear_hitting,
-    multi_hitting_analysis,
     parse_shift_rule,
 )
 
@@ -333,12 +332,24 @@ def test_two_sided_hitting_translation_invariance():
 # multi / delta windows
 
 
+def delta_window(rule, a, cylinders, h):
+    """The window of n placing cylinders[0] at 0 and cylinders[i] at a_i n."""
+    return linear_hitting(rule, list(zip((0, *a), cylinders)), h)
+
+
+def multi_window(rule, a, pairs, h):
+    """The n hitting every pair (u_i, v_i) at stride a_i, and the pairs' analyses."""
+    hits = [linear_hitting(rule, [(0, u), (ai, v)], h) for ai, (u, v) in zip(a, pairs)]
+    mask = np.logical_and.reduce([window.mask for window, _ in hits])
+    return WindowedSet.from_mask(mask), [analysis for _, analysis in hits]
+
+
 def test_multi_hitting_examples():
     pairs = [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))]
-    assert tuple(multi_hitting_analysis(FULL, (1, 2), pairs, 3)[0]) == (1, 2, 3)
-    got = multi_hitting_analysis(DYADIC, (2, 3), pairs, 10)[0]
+    assert tuple(multi_window(FULL, (1, 2), pairs, 3)[0]) == (1, 2, 3)
+    got = multi_window(DYADIC, (2, 3), pairs, 10)[0]
     assert 4 in got
-    assert tuple(multi_hitting_analysis(DYADIC, (1, 2), pairs, 200)[0]) == ()
+    assert tuple(multi_window(DYADIC, (1, 2), pairs, 200)[0]) == ()
 
 
 def test_multi_hitting_cross_check_identity():
@@ -350,7 +361,7 @@ def test_multi_hitting_cross_check_identity():
         (SHIFT1, (2, 3), [(cyl("101"), cyl("1")), (cyl("1"), cyl("1001"))]),
     ]
     for rule, a, pairs in cases:
-        got = set(multi_hitting_analysis(rule, a, pairs, h)[0])
+        got = set(multi_window(rule, a, pairs, h)[0])
         expect = set(range(1, h + 1))
         for ai, (u, v) in zip(a, pairs):
             per = hitting_window(rule, u, v, ai * h)
@@ -359,64 +370,63 @@ def test_multi_hitting_cross_check_identity():
 
 
 def test_multi_hitting_validates_vector():
-    pairs = [(cyl("1"), cyl("1"))]
-    with pytest.raises(PreconditionError):
-        multi_hitting_analysis(FULL, (1, 2), pairs, 5)
-    with pytest.raises(PreconditionError):
-        multi_hitting_analysis(FULL, (0,), pairs, 5)
+    with pytest.raises(PreconditionError, match="move with n"):
+        linear_hitting(FULL, [(0, cyl("1")), (0, cyl("1"))], 5)
+    with pytest.raises(PreconditionError, match=">= 0"):
+        linear_hitting(FULL, [(0, cyl("1")), (-1, cyl("1"))], 5)
 
 
 def test_delta_hitting_examples():
     cyls = [cyl("1"), cyl("1"), cyl("1")]
-    assert tuple(delta_hitting_analysis(FULL, (1, 2), cyls, 3)[0]) == (1, 2, 3)
-    assert tuple(delta_hitting_analysis(DYADIC, (1, 2), cyls, 300)[0]) == ()
-    assert tuple(delta_hitting_analysis(TR3, (1, 3), cyls, 300)[0]) == ()
-    with pytest.raises(PreconditionError):
-        delta_hitting_analysis(FULL, (1, 2), cyls[:2], 5)
+    assert tuple(delta_window(FULL, (1, 2), cyls, 3)[0]) == (1, 2, 3)
+    assert tuple(delta_window(DYADIC, (1, 2), cyls, 300)[0]) == ()
+    assert tuple(delta_window(TR3, (1, 3), cyls, 300)[0]) == ()
+    with pytest.raises(PreconditionError, match="at least one placement"):
+        linear_hitting(FULL, [], 5)
 
 
 def test_delta_hitting_exhaustive_oracle():
     # delta with r=1 is a plain hitting window; check the r=2 full-shift case
     # and an evens case against first principles: positions {0, n, 2n} need
     # all three gaps n, n, 2n even.
-    got, _ = delta_hitting_analysis(EVENS, (1, 2), [cyl("1")] * 3, 12)
+    got, _ = delta_window(EVENS, (1, 2), [cyl("1")] * 3, 12)
     assert tuple(got) == (2, 4, 6, 8, 10, 12)
-    got, _ = delta_hitting_analysis(TR3, (1, 2), [cyl("1")] * 3, 12)
+    got, _ = delta_window(TR3, (1, 2), [cyl("1")] * 3, 12)
     # positions {0, n, 2n}: g2 = n = ... forbidden iff n = 2n i.e. never; but
     # gap 1 kills n = 1
     assert tuple(got) == tuple(range(2, 13))
 
 
 def test_delta_certificates():
-    window, analysis = delta_hitting_analysis(TR3, (1, 3), [cyl("1")] * 3, 50)
+    window, analysis = delta_window(TR3, (1, 3), [cyl("1")] * 3, 50)
     cert = emptiness_certificate(TR3, window, analysis, 50)
     assert cert is not None and cert["name"] == "triple-law"
 
-    window, analyses = multi_hitting_analysis(
+    window, analyses = multi_window(
         DYADIC, (1, 2), [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))], 50
     )
     cert = emptiness_certificate(DYADIC, window, analyses, 50)
     assert cert is not None and cert["name"] == "parity-law"
     assert cert["gap_pair"] == [[1, 0], [2, 0]]
 
-    window, analysis = delta_hitting_analysis(DYADIC, (1, 2), [cyl("1")] * 3, 50)
+    window, analysis = delta_window(DYADIC, (1, 2), [cyl("1")] * 3, 50)
     cert = emptiness_certificate(DYADIC, window, analysis, 50)
     assert cert is not None and cert["name"] == "parity-law"
 
     # no certificate when the window is non-empty …
-    window, analyses = multi_hitting_analysis(
+    window, analyses = multi_window(
         DYADIC, (2, 3), [(cyl("1"), cyl("1")), (cyl("1"), cyl("1"))], 50
     )
     assert emptiness_certificate(DYADIC, window, analyses, 50) is None
     # … or when emptiness is only observed, not structural
-    window, analysis = delta_hitting_analysis(EVENS, (1, 2), [cyl("101")] * 3, 7)
+    window, analysis = delta_window(EVENS, (1, 2), [cyl("101")] * 3, 7)
     if not len(window):
         assert emptiness_certificate(EVENS, window, analysis, 7) is None
 
 
 def test_constant_gap_certificate():
     # co-moving cylinders at the same coefficient with a forbidden fixed gap
-    window, analysis = delta_hitting_analysis(
+    window, analysis = delta_window(
         EVENS, (2, 2), [cyl("1"), cyl("1"), cyl("001")], 30
     )
     assert tuple(window) == ()
