@@ -34,7 +34,7 @@ from .families import (
     finfty_grid_report,
     nabla_report,
 )
-from .intset import WindowedSet, cross_difference, first_member
+from .intset import WindowedSet, cross_differences, first_member
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     Cylinder,
@@ -46,7 +46,6 @@ from .subshift import (
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_batches,
-    hitting_window,
     is_admissible,
     unique_rows,
 )
@@ -333,22 +332,33 @@ def _check_nuv(
         _check_scale(rule, point, scale)
 
 
-def _compare_nuv(
-    rule: ShiftRule, u: Word, v: Word, h: int, h_cmp: int,
-    wu: WindowedSet, wv: WindowedSet, window: np.ndarray,
-) -> NuvReport:
-    """Compare the hitting mask over [0, h_cmp] with the entering windows' differences."""
-    diffs = cross_difference(wu, wv).restrict(h_cmp + 1)
-    # both windows cover [0, h_cmp]; neither ever holds 0
-    stray = np.flatnonzero(diffs.mask & ~window)
-    if stray.size:
-        raise AssertionError(
-            f"entering-time differences {stray[:8].tolist()} missing from the "
-            "hitting window; the inclusion is exact and this indicates a kernel bug"
-        )
-    mismatches = tuple(np.flatnonzero(window & ~diffs.mask).tolist())
-    sizes = {"window": int(np.count_nonzero(window)), "differences": len(diffs)}
-    return NuvReport(rule.literal(), str(u), str(v), h, h_cmp, not mismatches, mismatches, sizes)
+def _nuv_reports(
+    rule: ShiftRule, point: GeneratedPoint, words: Sequence[Word],
+    batches: Sequence[Sequence[tuple[int, int]]], h: int, h_cmp: int,
+) -> list[NuvReport]:
+    """Compare N(u,v) with N(x,v) - N(x,u) over [0, h_cmp] for each index pair of ``batches``.
+
+    Each word's entering window and its spectrum are taken once; the
+    hitting windows come in one batch per element of ``batches``.
+    """
+    entering = [entering_window(rule, point, w, h - w.length) for w in words]
+    differences = cross_differences(entering, [p for b in batches for p in b], h_cmp + 1)
+    cylinders, reports = [Cylinder(w) for w in words], {}
+    for idx in batches:
+        for start, masks, _ in hitting_batches(rule, (0, 1), cylinders, idx, h_cmp):
+            for (i, j), window in zip(idx[start:], masks):
+                diffs = differences(i, j)  # like window, it covers [0, h_cmp] and never holds 0
+                stray = np.flatnonzero(diffs & ~window)
+                if stray.size:
+                    raise AssertionError(
+                        f"entering-time differences {stray[:8].tolist()} missing from the "
+                        "hitting window; the inclusion is exact and this indicates a kernel bug"
+                    )
+                missed = tuple(np.flatnonzero(window & ~diffs).tolist())
+                sizes = {"window": int(window.sum()), "differences": int(diffs.sum())}
+                u, v = str(words[i]), str(words[j])
+                reports[i, j] = NuvReport(rule.literal(), u, v, h, h_cmp, not missed, missed, sizes)
+    return [reports[key] for key in sorted(reports)]
 
 
 def verify_nuv(
@@ -367,10 +377,7 @@ def verify_nuv(
     reported.
     """
     _check_nuv(rule, point, h, h_cmp, [max(u.length, v.length)])
-    wu = entering_window(rule, point, u, h - u.length)
-    wv = entering_window(rule, point, v, h - v.length)
-    window = hitting_window(rule, Cylinder(u), Cylinder(v), h_cmp).mask
-    return _compare_nuv(rule, u, v, h, h_cmp, wu, wv, window)
+    return _nuv_reports(rule, point, [u, v], [[(0, 1)]], h, h_cmp)[0]
 
 
 def verify_nuv_pairs(
@@ -378,22 +385,16 @@ def verify_nuv_pairs(
 ) -> list[NuvReport]:
     """The verify_nuv comparison on every pair of words up to length wordlen.
 
-    The point is checked once and each word's entering window built once;
-    the hitting windows come in one batch per (|u|, |v|).
+    The point is checked once; the hitting windows come in one batch per
+    (|u|, |v|).
     """
+    if wordlen < 1:
+        raise ConfigError("word length must be >= 1")
     _check_nuv(rule, point, h, h_cmp, range(1, wordlen + 1))
     words = [w for n in range(1, wordlen + 1) for w in enumerate_admissible_words(rule, n)]
-    entering = [entering_window(rule, point, w, h - w.length) for w in words]
     groups = [[i for i, w in enumerate(words) if w.length == n] for n in range(1, wordlen + 1)]
-    cylinders, reports = [Cylinder(w) for w in words], {}
-    for us, vs in itertools.product(groups, repeat=2):
-        idx = [(i, j) for i in us for j in vs]
-        for start, masks, _ in hitting_batches(rule, (0, 1), cylinders, idx, h_cmp):
-            for (i, j), mask in zip(idx[start:], masks):
-                reports[i, j] = _compare_nuv(
-                    rule, words[i], words[j], h, h_cmp, entering[i], entering[j], mask
-                )
-    return [reports[key] for key in sorted(reports)]
+    batches = [[(i, j) for i in us for j in vs] for us, vs in itertools.product(groups, repeat=2)]
+    return _nuv_reports(rule, point, words, batches, h, h_cmp)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .errors import CapExceeded, ConfigError, HorizonExhausted
 # Maximum nesting depth for composite set rules.
 MAX_RULE_DEPTH = 16
 
-# members * horizon guard checked before the difference kernel picks a path:
-# it admits inputs to both the big-int shift-or (~1 GiB of word traffic at
-# the cap) and the FFT correlation.  Larger requests fail loudly instead of
-# thrashing.
+# Subtrahend members * minuend horizon guard, checked before the difference
+# kernel transforms anything.  Under it the kernel's error bound stays below
+# 1.5e-3 (worst at one subtrahend member against a full minuend of 2^34 bits),
+# far from the 0.25 exactness needs.  Larger requests fail loudly instead.
 _DIFFERENCE_COST_CAP = 1 << 34
 
 # Moduli probed when deriving congruence structure from a rule.
@@ -395,27 +395,6 @@ def materialize(rule: SetRule, horizon: int) -> WindowedSet:
     return WindowedSet.from_mask(rule._mask(horizon), rule.preserves_completeness())
 
 
-def _mask_to_int(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _int_to_mask(x: int, h: int) -> np.ndarray:
-    buf = x.to_bytes((h + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
-    return bits[:h].astype(bool)
-
-
-def _bigint_shifted_or(base_mask: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
-    """Bits d in [0, h) with base_mask[d + s] set for some shift s; one shift-or each."""
-    h = base_mask.size
-    acc = 0
-    base = _mask_to_int(base_mask)
-    for s in shifts:
-        acc |= base >> int(s)
-    acc &= (1 << h) - 1
-    return _int_to_mask(acc, h)
-
-
 def _smooth_length(m: int) -> int:
     """The least 2^a * 3^b >= m (m >= 1)."""
     best, p3 = 1 << (m - 1).bit_length(), 1
@@ -423,39 +402,6 @@ def _smooth_length(m: int) -> int:
         best = min(best, p3 << ((m - 1) // p3).bit_length())
         p3 *= 3
     return best
-
-
-def _fft_correlation(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
-    """c[d] = #{s in shifts : base_mask[d + s]} for d in [0, h), in floating point.
-
-    ``shifts`` (increasing, each < h) default to the members of ``base_mask``:
-    an autocorrelation, which takes one forward transform and |F|^2.  The
-    transform is padded to a 2^a 3^b length of at least h + (largest shift),
-    so that no lag wraps round onto [0, h).
-    """
-    h = base_mask.size
-    members = np.flatnonzero(base_mask) if shifts is None else shifts
-    n = _smooth_length(h + (int(members[-1]) if members.size else 0))
-    pad = np.zeros(n)
-    pad[:h] = base_mask
-    spec = np.fft.rfft(pad)
-    if shifts is None:
-        del pad
-        spec *= spec.conj()
-    else:
-        pad[:h] = 0
-        pad[shifts] = 1
-        other = np.fft.rfft(pad)
-        del pad
-        np.conj(other, out=other)
-        spec *= other
-        del other
-    return np.fft.irfft(spec, n)[:h]
-
-
-def _fft_shifted_or(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
-    """The bits of :func:`_bigint_shifted_or` by correlation; exact while its error bound < 0.5."""
-    return _fft_correlation(base_mask, shifts) > 0.5
 
 
 # Unit roundoff of float64, and the error assumed of pocketfft's twiddle factors.
@@ -468,7 +414,7 @@ def _gamma(k: int) -> float:
 
 
 def _fft_error_bound(n: int, m_base: int, m_shift: int) -> float:
-    """A-priori bound on max_d |computed - exact| of :func:`_fft_correlation`.
+    """A-priori bound on max_d |computed - exact| of a correlation of length n.
 
     Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed., 2002),
     Theorem 24.2: a radix-2 FFT of t stages has normwise relative error at
@@ -506,43 +452,39 @@ def _fft_error_bound(n: int, m_base: int, m_shift: int) -> float:
     return e * (c_norm + s) + s
 
 
-# The FFT path runs only while its error bound is below this, half of the 0.5
+# The kernel runs only while its error bound is below this, half of the 0.5
 # that thresholding absorbs.
 _FFT_ERROR_LIMIT = 0.25
 
 
-def _use_fft(h: int, top: int, m_base: int, m_shift: int, auto: bool) -> bool:
-    """Whether the FFT path is exact by its error bound and the cheaper path.
+def _transform_length(lags: int, span: int, m_sub: int, m_min: int) -> int:
+    """The 2^a 3^b length correlating masks at most ``span`` long over lags [0, lags).
 
-    Fitted on numpy 2.4, 2-core Xeon VM, random masks with h from 300 to 10^6:
-    a big-int shift-or of h bits costs about 0.93 * h^0.75 ns (the fixed cost
-    of each int operation fades as h grows), and a correlation of length n
-    about 2 ns * n log2 n per transform (two for an autocorrelation, three
-    otherwise) plus 15 us.
+    At n >= lags + span - 1, a + d < n for every member a and lag d, so no
+    lag wraps round.  ``m_sub`` and ``m_min`` bound the member counts of
+    subtrahends and minuends; if the error bound at n is not below
+    _FFT_ERROR_LIMIT the thresholded correlation need not be exact, and
+    CapExceeded is raised before any transform is allocated.
     """
-    n = _smooth_length(h + top)
-    if _fft_error_bound(n, m_base, m_shift) >= _FFT_ERROR_LIMIT:
-        return False
-    fft_ns = (2 if auto else 3) * 2.0 * n * math.log2(n) + 15_000
-    return fft_ns < 0.93 * m_shift * h**0.75
+    n = _smooth_length(lags + span - 1)
+    bound = _fft_error_bound(n, m_min, m_sub)
+    if bound >= _FFT_ERROR_LIMIT:
+        raise CapExceeded(
+            f"difference kernel error bound {bound:.3g} at transform length {n} "
+            f"is not below {_FFT_ERROR_LIMIT}"
+        )
+    return n
 
 
-def _shifted_or(base_mask: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
-    """Bits d in [0, h) with base_mask[d + s] set for some shift s; h = base_mask.size.
+def _lag_bits(product: np.ndarray, n: int, lags: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Lags d in [1, lags) where the correlation with half spectrum ``product`` exceeds 0.5.
 
-    ``shifts`` are increasing non-negative ints, by default the members of
-    ``base_mask`` (the autocorrelation of a difference set).  Two exact
-    paths give the same bits; :func:`_use_fft` picks the cheaper.
+    The correlation counts member pairs, so it is integral, and the length
+    from :func:`_transform_length` keeps its error below 0.25; ``out`` takes the inverse.
     """
-    h = base_mask.size
-    auto = shifts is None
-    members = np.flatnonzero(base_mask) if auto else shifts
-    members = members[: np.searchsorted(members, h)]  # a shift >= h moves every bit out
-    m_base = members.size if auto else int(np.count_nonzero(base_mask))
-    top = int(members[-1]) if members.size else 0
-    if _use_fft(h, top, m_base, members.size, auto):
-        return _fft_shifted_or(base_mask, None if auto else members)
-    return _bigint_shifted_or(base_mask, members.tolist())
+    bits = np.fft.irfft(product, n, out=out)[:lags] > 0.5
+    bits[0] = False
+    return bits
 
 
 def difference_set(s: WindowedSet) -> WindowedSet:
@@ -551,24 +493,48 @@ def difference_set(s: WindowedSet) -> WindowedSet:
     Sound but not complete: members beyond the horizon could contribute
     further small differences, so the result is flagged ``complete=False``.
     """
-    if len(s) * s.horizon > _DIFFERENCE_COST_CAP:
+    h, m = s.horizon, len(s)
+    if m * h > _DIFFERENCE_COST_CAP:
         raise CapExceeded(
-            f"difference set of {len(s)} members at horizon "
-            f"{s.horizon} exceeds the kernel cost cap"
+            f"difference set of {m} members at horizon {h} exceeds the kernel cost cap"
         )
-    out = _shifted_or(s.mask)
-    out[0] = False
-    return WindowedSet.from_mask(out, complete=False)
+    n = _transform_length(h, h, m, m)
+    spectrum = np.fft.rfft(s.mask, n)
+    spectrum *= spectrum.conj()
+    return WindowedSet.from_mask(_lag_bits(spectrum, n, h), complete=False)
+
+
+def cross_differences(
+    windows: Sequence[WindowedSet], pairs: Sequence[tuple[int, int]], lags: int
+) -> Callable[[int, int], np.ndarray]:
+    """Masks over [0, lags) of {b - a > 0 : a in windows[i], b in windows[j]}, (i, j) in ``pairs``.
+
+    The cost cap (|windows[i]| times the horizon of windows[j]) is checked
+    for every pair and the error bound once, before any transform.  Spectra
+    are taken once per window, at a length where no lag below ``lags`` wraps;
+    pairs reuse one product and one inverse buffer, so call from one thread.
+    """
+    counts = [len(w) for w in windows]
+    if max(counts[i] * windows[j].horizon for i, j in pairs) > _DIFFERENCE_COST_CAP:
+        raise CapExceeded("cross difference exceeds the kernel cost cap")
+    subs, mins = zip(*pairs)
+    span = max(w.horizon for w in windows)
+    n = _transform_length(lags, span, max(counts[i] for i in subs), max(counts[j] for j in mins))
+    spectra = [np.fft.rfft(w.mask, n) for w in windows]
+    product, correlation = np.empty_like(spectra[0]), np.empty(n)
+
+    def differences(i: int, j: int) -> np.ndarray:
+        np.conjugate(spectra[i], out=product)
+        np.multiply(product, spectra[j], out=product)
+        return _lag_bits(product, n, lags, correlation)
+
+    return differences
 
 
 def cross_difference(subtrahend: WindowedSet, minuend: WindowedSet) -> WindowedSet:
     """{b - a : b in minuend, a in subtrahend, b > a}; sound, not complete."""
-    h = minuend.horizon
-    if len(subtrahend) * h > _DIFFERENCE_COST_CAP:
-        raise CapExceeded("cross difference exceeds the kernel cost cap")
-    out = _shifted_or(minuend.mask, subtrahend.values)
-    out[0] = False
-    return WindowedSet.from_mask(out, complete=False)
+    differences = cross_differences([subtrahend, minuend], [(0, 1)], minuend.horizon)
+    return WindowedSet.from_mask(differences(0, 1), complete=False)
 
 
 def doubling_free_certificate(rule: SetRule) -> dict | None:

@@ -104,10 +104,13 @@ def _spacer_candidates(
     New 1s land at g + length + w.ones; every cross gap to an existing 1 is
     g plus a constant, so the affine gap kernel answers for all g at once.
     """
+    ratio = rule.ratio
+    if ratio is None:
+        # a cross gap is at least length - old, so older 1s pass every g
+        olds = olds[np.searchsorted(olds, length - rule.last_forbidden_gap) :]
     if olds.size == 0 or not w.ones:
         return 0
     excluded = []
-    ratio = rule.ratio
     if ratio is not None:
         # spacers that complete a forbidden triple (old, old, new) or (old, new, new)
         if olds.size >= 2:

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -492,19 +493,14 @@ NUV_JOB = (
     [["reproduce", "thm-wm-point"], ["reproduce", "lemma-nuv"], NUV_JOB.split()],
     ids=["thm-wm-point", "lemma-nuv", "nuv-job"],
 )
-def test_difference_kernel_path_never_shows_in_stdout(capsys, monkeypatch, argv):
-    outs = []
-    for fft in (False, True):
-        monkeypatch.setattr("shiftlab.intset._use_fft", lambda *args, fft=fft: fft)
-        status, out, _ = run(capsys, *argv)
-        assert status == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_difference_kernel_jobs_print_the_recorded_bytes(capsys, argv):
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
     if argv[0] == "reproduce":
-        assert outs[0] == (GOLDEN_DIR / f"{argv[1]}.json").read_text()
+        assert out == (GOLDEN_DIR / f"{argv[1]}.json").read_text()
     else:
         recorded = json.loads(DIGESTS.read_text())[NUV_JOB]["sha256"]
-        assert hashlib.sha256(outs[0].encode()).hexdigest() == recorded
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
 MULTI_JOBS = [
@@ -521,11 +517,12 @@ def test_multi_sweeps_print_the_recorded_bytes(capsys, job):
     assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
-def test_difference_cap_exits_2_before_the_kernel(capsys, monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("kernel reached past the cost cap")
+def no_transform(*args, **kwargs):
+    raise AssertionError("a transform was taken")
 
-    monkeypatch.setattr("shiftlab.intset._shifted_or", no_kernel)
+
+def test_difference_cap_exits_2_before_the_kernel(capsys, monkeypatch):
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
     status, out, err = run(
         capsys, "diagnose", "--rule", "full()", "--point", "champernowne",
         "--pointlen", "16", "--family", "nabla(thick(2))", "--wordlen", "1",
@@ -536,6 +533,37 @@ def test_difference_cap_exits_2_before_the_kernel(capsys, monkeypatch):
         "error: difference set of 203136 members at horizon 400001 exceeds the "
         "kernel cost cap\n"
     )
+
+
+NUV_SMALL = (
+    "verify --rule full() --prop nuv --point champernowne --pointlen 6 --wordlen 2 "
+    "--horizon 700"
+).split()
+
+
+def test_nuv_pair_over_the_cap_exits_2_before_any_transform(capsys, monkeypatch):
+    # h is the prefix length 642; only word 1, entering 321 times, makes a
+    # pair over this cap, against a minuend window of horizon 642
+    monkeypatch.setattr("shiftlab.intset._DIFFERENCE_COST_CAP", 321 * 642 - 1)
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    status, out, err = run(capsys, *NUV_SMALL)
+    assert (status, out) == (2, "")
+    assert err == "error: cross difference exceeds the kernel cost cap\n"
+
+
+def test_nuv_bound_at_the_limit_exits_2_before_any_transform(capsys, monkeypatch):
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr("shiftlab.intset._fft_error_bound", lambda *args: 0.25)
+    status, out, err = run(capsys, *NUV_SMALL)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: difference kernel error bound 0.25 at transform length ")
+    assert err.count("\n") == 1
+
+
+def test_nuv_word_length_zero_is_a_config_error(capsys):
+    status, out, err = run(capsys, *NUV_SMALL[:-4], "--wordlen", "0", "--horizon", "64")
+    assert (status, out) == (2, "")
+    assert err == "error: word length must be >= 1\n"
 
 
 def test_reproduce_unknown_preset(capsys):

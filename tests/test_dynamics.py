@@ -14,7 +14,7 @@ from shiftlab.families import (
     fa_grid_report,
     parse_family_spec,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks, WindowedSet
+from shiftlab.intset import ArithmeticProgression, DyadicBlocks
 from shiftlab.points import (
     build_transitive_point,
     champernowne,
@@ -362,10 +362,10 @@ def test_nuv_pairs_preconditions_match_verify_nuv():
 def test_nuv_stray_difference_is_a_kernel_bug(monkeypatch):
     import shiftlab.dynamics as dynamics
 
-    def empty_window(rule, u, v, h):
-        return WindowedSet.from_mask(np.zeros(h + 1, dtype=bool))
+    def empty_windows(rule, coefs, cylinders, tuples, h):
+        yield 0, np.zeros((len(tuples), h + 1), dtype=bool), None
 
-    monkeypatch.setattr(dynamics, "hitting_window", empty_window)
+    monkeypatch.setattr(dynamics, "hitting_batches", empty_windows)
     with pytest.raises(AssertionError, match="kernel bug"):
         verify_nuv(FullShift(), champernowne(9), W("1"), W("1"), 4096, 1024)
 

@@ -21,14 +21,12 @@ from shiftlab.intset import (
     Translate,
     Union,
     WindowedSet,
-    _bigint_shifted_or,
-    _fft_correlation,
     _fft_error_bound,
-    _fft_shifted_or,
     _smooth_length,
-    _use_fft,
+    _transform_length,
     congruence_structures,
     cross_difference,
+    cross_differences,
     difference_set,
     doubling_free_certificate,
     materialize,
@@ -220,24 +218,42 @@ def test_cross_difference():
 
 
 # ---------------------------------------------------------------------------
-# the two paths of the difference kernel
+# the difference kernel
 
 
-def assert_paths_agree(base, shifts=None):
-    """Both kernel paths give the same bits, and the FFT error stays in its bound.
+def slice_or(base, shifts, lags=None):
+    """Bits d in [1, lags) with base[d + s] for some s in ``shifts``: one slice-OR per shift.
+
+    ``lags`` defaults to the horizon of ``base``; lags past it are never set.
+    """
+    lags = base.size if lags is None else lags
+    out = np.zeros(max(lags, base.size), dtype=bool)
+    for s in shifts:
+        if s < base.size:
+            out[: base.size - s] |= base[s:]
+    out[0] = False
+    return out[:lags]
+
+
+def assert_kernel_exact(base, shifts=None):
+    """The kernel's bits equal the slice-OR oracle, and its raw error stays in its bound.
 
     ``shifts`` is a subtrahend mask of any horizon; None correlates ``base``
     with itself, as difference_set does.
     """
     h = base.size
-    members = np.flatnonzero(base if shifts is None else shifts[:h])
-    fft_shifts = None if shifts is None else members
-    big = _bigint_shifted_or(base, members.tolist())
-    assert big.shape == base.shape
-    assert np.array_equal(_fft_shifted_or(base, fft_shifts), big)
-    raw = _fft_correlation(base, fft_shifts)
-    top = int(members[-1]) if members.size else 0
-    bound = _fft_error_bound(_smooth_length(h + top), int(base.sum()), members.size)
+    sub = base if shifts is None else shifts
+    minuend = WindowedSet.from_mask(base)
+    if shifts is None:
+        got = difference_set(minuend)
+    else:
+        got = cross_difference(WindowedSet.from_mask(shifts), minuend)
+    assert np.array_equal(got.mask, slice_or(base, np.flatnonzero(sub)))
+    assert not got.complete
+    m_sub, m_min = int(sub.sum()), int(base.sum())
+    n = _transform_length(h, max(h, sub.size), m_sub, m_min)
+    raw = np.fft.irfft(np.conj(np.fft.rfft(sub, n)) * np.fft.rfft(base, n), n)[:h]
+    bound = _fft_error_bound(n, m_min, m_sub)
     assert float(np.abs(raw - np.round(raw)).max(initial=0.0)) <= bound < _FFT_ERROR_LIMIT
 
 
@@ -261,42 +277,65 @@ def shaped_masks(max_h):
 
 @settings(max_examples=300)
 @given(shaped_masks(120))
-@example(np.array([1, 0, 1, 0, 0], dtype=bool))  # h + top - 1 = 6 is 3-smooth
-@example(np.array([1, 0, 0, 1, 0, 0], dtype=bool))  # 8 is
+@example(np.array([1, 0, 1, 0, 0], dtype=bool))  # 2h - 1 = 9 is 3-smooth
+@example(np.array([1, 0, 0, 1, 0, 0], dtype=bool))
 @example(np.array([1], dtype=bool))
-def test_autocorrelation_paths_agree(base):
-    assert_paths_agree(base)
+def test_autocorrelation_matches_the_slice_or_oracle(base):
+    assert_kernel_exact(base)
 
 
 @settings(max_examples=300)
 @given(shaped_masks(120), shaped_masks(160))
 @example(np.array([0, 0, 1, 0, 0], dtype=bool), np.array([1, 0, 1], dtype=bool))
 @example(np.array([1, 0, 0, 1], dtype=bool), np.array([1, 0, 0, 0, 0, 0, 1], dtype=bool))
-def test_cross_correlation_paths_agree(minuend, subtrahend):
-    assert_paths_agree(minuend, subtrahend)
+def test_cross_correlation_matches_the_slice_or_oracle(minuend, subtrahend):
+    assert_kernel_exact(minuend, subtrahend)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(20_000, 60_000), st.floats(0.25, 0.5), st.integers(0, 2**32 - 1), st.booleans())
-def test_paths_agree_where_the_model_takes_fft(h, density, seed, auto):
+def test_large_windows_match_the_slice_or_oracle(h, density, seed, auto):
     rng = np.random.default_rng(seed)
     base = rng.random(h) < density
     shifts = None if auto else rng.random(h + 500) < density
-    members = np.flatnonzero(base if auto else shifts[:h])
-    assert _use_fft(h, int(members[-1]), int(base.sum()), members.size, auto)
-    assert_paths_agree(base, shifts)
+    assert_kernel_exact(base, shifts)
 
 
-def test_public_kernels_return_the_same_bits_on_both_paths(monkeypatch):
+def test_public_kernels_match_the_slice_or_oracle():
     rng = np.random.default_rng(7)
     a = WindowedSet.from_mask(rng.random(3000) < 0.3)
     b = WindowedSet.from_mask(rng.random(2500) < 0.3)
-    outs = []
-    for fft in (False, True):
-        monkeypatch.setattr("shiftlab.intset._use_fft", lambda *args, fft=fft: fft)
-        outs.append([difference_set(a), cross_difference(a, b), cross_difference(b, a)])
-    for big, fft in zip(*outs):
-        assert np.array_equal(big.mask, fft.mask) and not big.complete and not fft.complete
+    for got, minuend, sub in [
+        (difference_set(a), a, a),
+        (cross_difference(a, b), b, a),
+        (cross_difference(b, a), a, b),
+    ]:
+        assert got.horizon == minuend.horizon and not got.complete
+        assert np.array_equal(got.mask, slice_or(minuend.mask, sub.values))
+
+
+@st.composite
+def windows_and_hcmp(draw):
+    masks = draw(st.lists(shaped_masks(200), min_size=1, max_size=4))
+    return masks, draw(st.integers(0, max(m.size for m in masks) // 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows_and_hcmp())
+# lags + span - 1 = 9 is 3-smooth: lag 3 of member 5 reaches index 8, the
+# first that would wrap onto member 0 at a shorter transform
+@example(([np.array([0, 0, 0, 0, 0, 1], dtype=bool), np.array([1, 0, 0, 0, 0, 1], dtype=bool)], 3))
+@example(([np.ones(7, dtype=bool), np.array([1, 0, 1], dtype=bool)], 3))
+def test_shared_spectra_match_the_slice_or_oracle_up_to_hcmp(windows_hcmp):
+    masks, h_cmp = windows_hcmp
+    windows = [WindowedSet.from_mask(m) for m in masks]
+    pairs = [(i, j) for i in range(len(masks)) for j in range(len(masks))]
+    differences = cross_differences(windows, pairs, h_cmp + 1)
+    # taken first: a mask must survive the later calls that reuse the buffers
+    got = {(i, j): differences(i, j) for i, j in pairs}
+    for i, j in pairs:
+        want = slice_or(masks[j], np.flatnonzero(masks[i]), h_cmp + 1)
+        assert np.array_equal(got[i, j], want)
 
 
 def test_smooth_length_is_the_least_3_smooth_at_or_above():
@@ -314,61 +353,78 @@ def test_smooth_length_is_the_least_3_smooth_at_or_above():
 @given(
     st.integers(1, 10**14).flatmap(
         lambda h: st.tuples(
-            st.just(h), st.integers(0, h - 1), st.integers(0, h), st.integers(0, h)
+            st.just(h), st.integers(1, h), st.integers(0, h), st.integers(0, h)
         )
     ),
-    st.booleans(),
 )
-@example((10**12, 10**12 - 1, 10**11, 10**11), False)
-@example((10**12, 10**12 - 1, 10**9, 10**9), True)
-def test_inexact_fft_is_never_chosen(sizes, auto):
+@example((10**12, 10**12, 10**11, 10**11))
+@example((10**12, 10**12, 10**9, 10**9))
+def test_inexact_transform_length_is_refused(sizes):
     # pure arithmetic on the sizes: no mask of h bits is built
-    h, top, m_base, m_shift = sizes
-    if auto:
-        m_shift = m_base
-    bound = _fft_error_bound(_smooth_length(h + top), m_base, m_shift)
-    if bound >= _FFT_ERROR_LIMIT:
-        assert not _use_fft(h, top, m_base, m_shift, auto)
+    h, lags, m_sub, m_min = sizes
+    n = _smooth_length(lags + h - 1)
+    if _fft_error_bound(n, m_min, m_sub) >= _FFT_ERROR_LIMIT:
+        with pytest.raises(CapExceeded, match="error bound"):
+            _transform_length(lags, h, m_sub, m_min)
+    else:
+        assert _transform_length(lags, h, m_sub, m_min) == n
+
+
+def test_error_bound_stays_below_1_5e_3_under_the_cost_cap():
+    # every power-of-two horizon H, subtrahend count and minuend count the cap
+    # admits, at the longest lag window and the shortest (verify --prop nuv)
+    worst = 0.0
+    for a in range(_DIFFERENCE_COST_CAP.bit_length()):
+        h = 1 << a
+        for lags in (h // 2 + 1, h):
+            n = _smooth_length(lags + h - 1)
+            for b in range(a + 1):
+                if h << b > _DIFFERENCE_COST_CAP:
+                    break
+                for c in range(a + 1):
+                    worst = max(worst, _fft_error_bound(n, 1 << c, 1 << b))
+    assert 1e-3 < worst < 1.5e-3
 
 
 def test_error_bound_reaches_the_limit_only_far_past_the_cap():
     assert _fft_error_bound(_smooth_length(10**12), 10**11, 10**11) >= _FFT_ERROR_LIMIT
-    # the largest inputs the cost cap admits stay far below it
-    for m in (1, 2**10, 2**17):
-        h = _DIFFERENCE_COST_CAP // m
-        assert _fft_error_bound(_smooth_length(2 * h), m, m) < 1e-4
     tracemalloc.start()
     try:
-        _use_fft(10**13, 10**13 - 1, 10**12, 10**12, False)
+        with pytest.raises(CapExceeded, match="error bound"):
+            _transform_length(10**13, 10**13, 10**12, 10**12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
 
 
-def test_real_call_shapes_take_the_measured_cheaper_path():
-    # lemma-nuv: 168 of its 196 cross differences at h = 3584 have ~450 or
-    # ~900 shifts; its 28 with 1792 shifts measured faster by FFT
-    assert not _use_fft(3584, 3577, 1792, 448, False)
-    assert not _use_fft(3584, 3577, 448, 448, False)
-    assert not _use_fft(3584, 3577, 448, 896, False)
-    # thm-wm-point: autocorrelations at h = 100,001 of ~25,000 members
-    assert _use_fft(100_001, 100_000, 25_000, 25_000, True)
-    # the points-families nuv job: h = 18,000 with 4,359 to 9,105 shifts
-    assert _use_fft(17_999, 17_900, 4359, 4359, False)
+def no_transform(*args, **kwargs):
+    raise AssertionError("a transform was taken")
 
 
-def test_cap_is_checked_before_either_path(monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("kernel reached past the cost cap")
-
-    monkeypatch.setattr("shiftlab.intset._shifted_or", no_kernel)
+def test_cap_is_checked_before_any_transform(monkeypatch):
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
     h = 2**17 + 1
     dense = WindowedSet.from_mask(np.ones(h, dtype=bool))
     with pytest.raises(CapExceeded, match=f"difference set of {h} members at horizon {h} exceeds"):
         difference_set(dense)
     with pytest.raises(CapExceeded, match="cross difference exceeds the kernel cost cap"):
         cross_difference(dense, dense)
+    with pytest.raises(CapExceeded, match="cross difference exceeds the kernel cost cap"):
+        cross_differences([ws([1], 2), dense], [(0, 1), (1, 1)], 2)
+
+
+def test_bound_at_the_limit_is_refused_before_any_transform(monkeypatch):
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr("shiftlab.intset._fft_error_bound", lambda *args: _FFT_ERROR_LIMIT)
+    a, b = ws([1, 4], 10), ws([2, 6], 10)
+    for call in (
+        lambda: difference_set(a),
+        lambda: cross_difference(a, b),
+        lambda: cross_differences([a, b], [(0, 1)], 3),
+    ):
+        with pytest.raises(CapExceeded, match="error bound 0.25 at transform length"):
+            call()
 
 
 def test_fft_difference_set_near_a_million_holds_two_transform_arrays():
@@ -377,9 +433,7 @@ def test_fft_difference_set_near_a_million_holds_two_transform_arrays():
     mask = np.zeros(h, dtype=bool)
     mask[rng.choice(h, m, replace=False)] = True
     s = WindowedSet.from_mask(mask)
-    top = int(s.values[-1])
-    assert _use_fft(h, top, m, m, True)
-    n = _smooth_length(h + top)
+    n = _transform_length(h, h, m, m)
     tracemalloc.start()
     try:
         d = difference_set(s)

@@ -134,9 +134,10 @@ def test_entering_window_longer_word():
 # greedy construction
 
 
-def test_full_shift_greedy_matches_champernowne():
-    for l_max in (1, 2, 3, 4):
-        built = build_transitive_point(FullShift(), l_max, 0)
+@pytest.mark.parametrize("g_max", [0, 4096])
+def test_full_shift_greedy_matches_champernowne(g_max):
+    for l_max in range(1, 9):
+        built = build_transitive_point(FullShift(), l_max, g_max)
         canon = champernowne(l_max)
         assert np.array_equal(built.bits, canon.bits)
         assert built.occurrence == canon.occurrence
