@@ -482,39 +482,52 @@ def test_reproduce_matches_golden(capsys, name, arg):
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-NUV_JOB = (
-    "verify --prop nuv --rule full() --point greedy --pointlen 10 --wordlen 2 "
-    "--horizon 18000 --hcmp 4096 --expect witnessed"
-)
+CORPUS = sorted(json.loads(DIGESTS.read_text()))
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["reproduce", "thm-wm-point"], ["reproduce", "lemma-nuv"], NUV_JOB.split()],
-    ids=["thm-wm-point", "lemma-nuv", "nuv-job"],
+    [["reproduce", "thm-wm-point"], ["reproduce", "lemma-nuv"]],
+    ids=["thm-wm-point", "lemma-nuv"],
 )
 def test_difference_kernel_jobs_print_the_recorded_bytes(capsys, argv):
     status, out, _ = run(capsys, *argv)
     assert status == 0
-    if argv[0] == "reproduce":
-        assert out == (GOLDEN_DIR / f"{argv[1]}.json").read_text()
-    else:
-        recorded = json.loads(DIGESTS.read_text())[NUV_JOB]["sha256"]
-        assert hashlib.sha256(out.encode()).hexdigest() == recorded
+    assert out == (GOLDEN_DIR / f"{argv[1]}.json").read_text()
 
 
-MULTI_JOBS = [
-    job for job in json.loads(DIGESTS.read_text())
-    if job.startswith("check ") and "--vector" in job and "--delta" not in job
-]
+def one_row_chunks(monkeypatch):
+    from shiftlab import dynamics, subshift
+
+    for module in (subshift, dynamics):
+        monkeypatch.setattr(module, "chunk_rows", lambda row_bytes: 1)
 
 
-@pytest.mark.parametrize("job", MULTI_JOBS)
-def test_multi_sweeps_print_the_recorded_bytes(capsys, job):
-    status, out, _ = run(capsys, *job.split())
-    assert status == 0
+@pytest.mark.parametrize("job", CORPUS)
+def test_recorded_corpus_prints_its_bytes_however_it_is_computed(
+    capsys, monkeypatch, tmp_path, job
+):
+    """Every recorded benchmark argv prints its recorded sha256: as recorded,
+    with one tuple per kernel and family chunk (every chunk boundary moves),
+    and, for greedy points, again from the warm point cache."""
     recorded = json.loads(DIGESTS.read_text())[job]["sha256"]
-    assert hashlib.sha256(out.encode()).hexdigest() == recorded
+    argv = job.split()
+    cached = "greedy" in argv
+    if cached:
+        argv += ["--cache-dir", str(tmp_path)]
+
+    def digest():
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    assert digest() == recorded
+    if cached:
+        assert list(tmp_path.glob("point-*.json"))
+        assert digest() == recorded
+    with monkeypatch.context() as mp:
+        one_row_chunks(mp)
+        assert digest() == recorded
 
 
 def no_transform(*args, **kwargs):
