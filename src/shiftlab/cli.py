@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ShiftLabError
@@ -111,16 +111,8 @@ def _outcome_row(outcome) -> list:
 
 
 def _collect_certificates(candidates) -> list[dict]:
-    certs = []
-    seen = set()
-    for cert in candidates:
-        if not cert:
-            continue
-        key = json.dumps(cert, sort_keys=True)
-        if key not in seen:
-            seen.add(key)
-            certs.append(cert)
-    return certs
+    """The distinct certificates among ``candidates``, in order of first occurrence."""
+    return list({json.dumps(c, sort_keys=True): c for c in candidates if c}.values())
 
 
 def _sweep_payload(report) -> tuple[str, dict, list[dict], int]:
@@ -131,8 +123,8 @@ def _sweep_payload(report) -> tuple[str, dict, list[dict], int]:
     }
     if "max_witness" in report.stats:
         witnesses["max_witness"] = report.stats["max_witness"]
-    certs = _collect_certificates(
-        (o.detail or {}).get("certificate") for o in report.outcomes
+    certs = _collect_certificates(  # the sparse detail map, in tuple order
+        detail.get("certificate") for detail in report.outcomes.details.values()
     )
     return report.verdict, witnesses, certs, len(report.outcomes)
 

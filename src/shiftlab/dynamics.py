@@ -12,11 +12,10 @@ supply one.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .families import (
     VERDICT_RANK,
     WITNESSED,
     FamilyQuery,
-    GridParams,
     WindowReport,
     family_window_report,
     fa_grid_report,
@@ -34,7 +32,7 @@ from .families import (
     finfty_grid_report,
     nabla_report,
 )
-from .intset import WindowedSet, cross_differences, first_member
+from .intset import WindowedSet, cross_differences
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     Cylinder,
@@ -64,13 +62,45 @@ class SweepOutcome:
     detail: dict | None = None
 
 
+class SweepOutcomes(Sequence):
+    """A sweep's outcomes in tuple order, read-only; each is built on access.
+
+    Tuple t has the words ``parts[j]`` for j in ``rows[t]``, concatenated, and
+    the least witness ``witnesses[t]`` (0: none).  Its detail is ``details[t]``
+    where the sparse map holds one (keys ascending), else a copy of ``common``.
+    Slices are tuples of outcomes, and equality is that of the tuple.
+    """
+
+    def __init__(self, parts, rows, witnesses, details=None, common=None):
+        self.parts, self.rows, self.witnesses = parts, rows, witnesses
+        self.details, self.common = details or {}, common
+
+    def __len__(self) -> int:
+        return len(self.witnesses)
+
+    def _at(self, t: int) -> SweepOutcome:
+        words = sum(map(self.parts.__getitem__, self.rows[t].tolist()), ())
+        detail = self.details.get(t, None if self.common is None else dict(self.common))
+        return SweepOutcome(words, int(self.witnesses[t]) or None, detail)
+
+    def __getitem__(self, key):
+        at = range(len(self))[key]
+        return tuple(map(self._at, at)) if isinstance(key, slice) else self._at(at)
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, SweepOutcomes) else other)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     rule: str
     operation: str
     params: dict
     verdict: str
-    outcomes: tuple[SweepOutcome, ...]
+    outcomes: Sequence[SweepOutcome]
     failing: tuple[str, ...] | None
     stats: dict = field(default_factory=dict)
 
@@ -90,42 +120,23 @@ def _close(
     rule: ShiftRule,
     operation: str,
     params: dict,
-    outcomes: list[SweepOutcome],
+    outcomes: SweepOutcomes,
     extra_stats: dict | None = None,
 ) -> SweepReport:
-    failing = next((o for o in outcomes if o.witness is None), None)
-    stats = {"tuples": len(outcomes)}
-    witnesses = [o.witness for o in outcomes if o.witness is not None]
-    if witnesses:
-        stats["max_witness"] = max(witnesses)
-    if extra_stats:
-        stats.update(extra_stats)
-    return SweepReport(
-        rule.literal(),
-        operation,
-        params,
-        WITNESSED if failing is None else FAILS_ON_WINDOW,
-        tuple(outcomes),
-        None if failing is None else failing.words,
-        stats,
-    )
+    witnesses = outcomes.witnesses
+    failing = np.flatnonzero(witnesses == 0)[:1].tolist()
+    stats = {"tuples": len(witnesses)}
+    if witnesses.any():
+        stats["max_witness"] = int(witnesses.max())
+    verdict = FAILS_ON_WINDOW if failing else WITNESSED
+    words = outcomes[failing[0]].words if failing else None
+    stats.update(extra_stats or {})
+    return SweepReport(rule.literal(), operation, params, verdict, outcomes, words, stats)
 
 
 def _index_tuples(width: int, k: int) -> np.ndarray:
     """Every k-tuple over range(width), one per row, in lexicographic order."""
     return np.indices((width,) * k).reshape(k, -1).T
-
-
-def _hits(
-    rule: ShiftRule, coefs: Sequence[int], cylinders: list[Cylinder], h: int
-) -> Iterator[tuple[list[int], int, np.ndarray, Callable[[], HitAnalysis]]]:
-    """(tuple, least witness or 0, window mask, its analysis) for every tuple of
-    cylinders placed at ``coefs``, in lexicographic order, a kernel chunk at a time."""
-    tuples = _index_tuples(len(cylinders), len(coefs))
-    for start, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
-        firsts = masks.argmax(axis=1).tolist()  # 0 is never a member: 0 means none
-        for i, tup in enumerate(tuples[start : start + len(masks)].tolist()):
-            yield tup, firsts[i], masks[i], functools.partial(analysis, i)
 
 
 def _mask_ids(
@@ -159,7 +170,7 @@ def _mask_ids(
     return packed, ids, read
 
 
-def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every family (one tuple per coordinate, in lexicographic order) and the
     least n in all of its windows at once, or 0; one AND per distinct family."""
     families = _index_tuples(ids.shape[1], len(ids))
@@ -169,27 +180,37 @@ def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, lis
         np.unpackbits(np.bitwise_and.reduce(packed[key], axis=1), axis=1).argmax(axis=1)
         for key in (combos[lo : lo + rows] for lo in range(0, len(combos), rows))
     ])
-    return families, firsts[inverse].tolist()
+    return families, firsts[inverse]
 
 
-def _first_run(mask: np.ndarray, run: int) -> int | None:
-    """Least n with mask[n : n+run] all true, ignoring index 0."""
-    ok = mask.copy()
-    ok[0] = False
-    for i in range(1, min(run, mask.size)):
-        ok[:-i] &= mask[i:]
-        ok[-i:] = False
-    return first_member(ok)
+def _first_runs(masks: np.ndarray, run: int) -> np.ndarray:
+    """Per row, the least n >= 1 with masks[row, n : n+run] all true, or 0."""
+    ok = masks.copy()
+    ok[:, 0] = False
+    for i in range(1, min(run, masks.shape[1])):
+        ok[:, :-i] &= masks[:, i:]
+        ok[:, -i:] = False
+    return ok.argmax(axis=1)
 
 
-def _outcome(
-    rule: ShiftRule, words: tuple[str, ...], first: int, mask: np.ndarray, analyses, h: int
-) -> SweepOutcome:
-    """A tuple's outcome; an empty window carries its certificate when one exists."""
-    if first:
-        return SweepOutcome(words, first)
-    cert = emptiness_certificate(rule, WindowedSet.from_mask(mask), analyses(), h)
-    return SweepOutcome(words, None, None if cert is None else {"certificate": cert})
+def _certificates(
+    rule: ShiftRule, failing: list[int], analyses: Callable[[int], object], h: int
+) -> dict[int, dict]:
+    """{t: {"certificate": ...}} for each failing tuple t whose empty window has
+    one; ``analyses(t)`` gives the HitAnalysis (or list of them) of tuple t."""
+    if not failing:
+        return {}
+    empty = WindowedSet.from_mask(np.zeros(h + 1, dtype=bool))
+    certs = {t: emptiness_certificate(rule, empty, analyses(t), h) for t in failing}
+    return {t: {"certificate": cert} for t, cert in certs.items() if cert is not None}
+
+
+def _words(cylinders: list[Cylinder], tuples: np.ndarray | None = None) -> list[tuple[str, ...]]:
+    """The words of each row of ``tuples``; of each cylinder alone by default."""
+    names = [str(c.word) for c in cylinders]
+    return [(n,) for n in names] if tuples is None else [
+        tuple(names[w] for w in tup) for tup in tuples.tolist()
+    ]
 
 
 def check_transitive(
@@ -208,21 +229,23 @@ def check_transitive(
     if run == 0:
         raise ConfigError("thick parameter must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    names = [str(c.word) for c in cylinders]
-    outcomes = []
-    for (u, v), first, mask, _ in _hits(rule, (0, 1), cylinders, h):
-        words = (names[u], names[v])
-        if mode == "plain":
-            outcomes.append(SweepOutcome(words, first or None))
-        elif run is not None:
-            outcomes.append(SweepOutcome(words, _first_run(mask, run), {"run_length": run}))
-        else:
-            missing = np.flatnonzero(~mask[1:]) + 1
-            last = int(missing[-1]) if missing.size else 0
-            if last >= h:
-                outcomes.append(SweepOutcome(words, None, {"last_missing": last}))
-            else:
-                outcomes.append(SweepOutcome(words, last + 1, {"n0": last + 1}))
+    tuples = _index_tuples(len(cylinders), 2)
+    firsts = []
+    for _, masks, _ in hitting_batches(rule, (0, 1), cylinders, tuples, h):
+        if mode != "cofinite_from":
+            firsts.append(_first_runs(masks, run or 1))
+        else:  # one past the last n >= 1 outside the window (1 for none)
+            tail = masks[:, :0:-1]  # columns H down to 1
+            firsts.append(np.where(tail.all(axis=1), 1, h + 1 - tail.argmin(axis=1)))
+    witnesses = np.concatenate(firsts)
+    details, common = {}, None
+    if run is not None:
+        common = {"run_length": run}
+    elif mode != "plain":  # a window missing H has no cofinite tail
+        details = {t: {"last_missing": h} if n0 > h else {"n0": n0}
+                   for t, n0 in enumerate(witnesses.tolist())}
+        witnesses[witnesses > h] = 0
+    outcomes = SweepOutcomes(_words(cylinders), tuples, witnesses, details, common)
     return _close(rule, "check_transitive", {"l": length, "h": h, "mode": mode}, outcomes)
 
 
@@ -235,17 +258,14 @@ def check_a_transitive(
     if not a or any(x < 1 for x in a):
         raise PreconditionError("vector entries must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    names = [str(c.word) for c in cylinders]
     pairs = _index_tuples(len(cylinders), 2)
     packed, ids, read = _mask_ids(rule, [(0, ai) for ai in a], cylinders, pairs, h)
     families, firsts = _family_firsts(packed, ids)
-    pair_words = [(names[u], names[v]) for u, v in pairs.tolist()]
-    empty = np.zeros(h + 1, dtype=bool)  # the common window of every failing family
-    outcomes = []
-    for family, first in zip(families.tolist(), firsts):
-        words = sum(map(pair_words.__getitem__, family), ())
-        analyses = lambda family=family: [read(i, p) for i, p in enumerate(family)]
-        outcomes.append(_outcome(rule, words, first, empty, analyses, h))
+    certs = _certificates(
+        rule, np.flatnonzero(firsts == 0).tolist(),
+        lambda f: [read(i, p) for i, p in enumerate(families[f].tolist())], h,
+    )
+    outcomes = SweepOutcomes(_words(cylinders, pairs), families, firsts, certs)
     return _close(
         rule, "check_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -274,11 +294,13 @@ def check_delta_a_transitive(
         raise PreconditionError("vector must be nonempty")
     _require_strictly_increasing(a)
     cylinders = sweep_cylinders(rule, length)
-    names = [str(c.word) for c in cylinders]
-    outcomes = [
-        _outcome(rule, tuple(names[w] for w in tup), first, mask, read, h)
-        for tup, first, mask, read in _hits(rule, (0,) + a, cylinders, h)
-    ]
+    tuples = _index_tuples(len(cylinders), len(a) + 1)
+    firsts, certs = [], {}
+    for start, masks, analysis in hitting_batches(rule, (0,) + a, cylinders, tuples, h):
+        firsts.append(masks.argmax(axis=1))  # 0 is never a member: 0 means none
+        failing = (np.flatnonzero(firsts[-1] == 0) + start).tolist()
+        certs.update(_certificates(rule, failing, lambda t: analysis(t - start), h))
+    outcomes = SweepOutcomes(_words(cylinders), tuples, np.concatenate(firsts), certs)
     return _close(
         rule, "check_delta_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -431,15 +453,17 @@ def verify_orbit_closure_prop(
     _require_strictly_increasing(a)
     a_prime = tuple(x - a[0] for x in a[1:])
     cylinders = sweep_cylinders(rule, length)
-    names = [str(c.word) for c in cylinders]
+    tuples = _index_tuples(len(cylinders), len(a))
     lhs, rhs = (
-        [first for _, first, _, _ in _hits(rule, coefs, cylinders, h)]
+        np.concatenate([  # 0 is never a member: 0 means none
+            masks.argmax(axis=1)
+            for _, masks, _ in hitting_batches(rule, coefs, cylinders, tuples, h)
+        ]).tolist()
         for coefs in (a, (0,) + a_prime)
     )
-    tuples = itertools.product(range(len(cylinders)), repeat=len(a))
     table = [
-        OrbitOutcome(tuple(names[w] for w in tup), left or None, right or None)
-        for tup, left, right in zip(tuples, lhs, rhs)
+        OrbitOutcome(words, left or None, right or None)
+        for words, left, right in zip(_words(cylinders, tuples), lhs, rhs)
     ]
     agree = all((o.lhs is None) == (o.rhs is None) for o in table)
     return OrbitClosureReport(
@@ -468,16 +492,11 @@ def verify_delta_product(
     if n < 1:
         raise PreconditionError("n must be >= 1")
     cylinders = sweep_cylinders(rule, length)
-    names = [str(c.word) for c in cylinders]
     tuples = _index_tuples(len(cylinders), n + 1)
     coords = [[j * ai for j in range(n + 1)] for ai in a]
     packed, ids, _ = _mask_ids(rule, coords, cylinders, tuples, h)
     families, firsts = _family_firsts(packed, ids)
-    tuple_words = [tuple(names[w] for w in tup) for tup in tuples.tolist()]
-    outcomes = [
-        SweepOutcome(sum(map(tuple_words.__getitem__, family), ()), first or None)
-        for family, first in zip(families.tolist(), firsts)
-    ]
+    outcomes = SweepOutcomes(_words(cylinders, tuples), families, firsts)
     return _close(
         rule,
         "verify_delta_product",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -275,19 +275,6 @@ def structural_cell_certificate(
     return None
 
 
-def _rule_analyzers(
-    rule: SetRule | None,
-) -> tuple[tuple[CongruenceStructure, ...], dict | None]:
-    if rule is None:
-        return (), None
-    return congruence_structures(rule), doubling_free_certificate(rule)
-
-
-def _decided(structural: tuple | None, failing: tuple | None, analyzers: tuple) -> bool:
-    """Whether the cells scanned so far fix the grid report (see fa_grid_report)."""
-    return structural is not None or (failing is not None and analyzers == ((), None))
-
-
 # ---------------------------------------------------------------------------
 # F[a]
 
@@ -301,6 +288,53 @@ def _check_grid_shape(a: Sequence[int], grid: GridParams) -> None:
         raise CapExceeded(
             f"grid of {(grid.nmax + 1) ** len(a)} cells exceeds cap {grid.cell_cap}"
         )
+
+
+def _grid_scan(
+    s: WindowedSet,
+    a: Sequence[int],
+    grid: GridParams,
+    rule: SetRule | None,
+    probe: Callable[[tuple[int, ...]], tuple[int | None, dict | None, bool]],
+) -> tuple[WindowReport | None, list[tuple[tuple[int, ...], int]]]:
+    """Scan the cells of [0, nmax]^r in order, up to the deciding one.
+
+    ``probe(cell)`` gives (value, None, False) for a witnessed cell and
+    (None, info, empty) for a failing one; an empty cell is refuted when a
+    structural certificate excludes it.  Returns the Refuted or Undetermined
+    report, or None and every cell's (cell, value) when all are witnessed.
+    The first structural cell decides; so does the first failing cell when
+    the rule has no congruence or doubling analyzer (no cell is structural).
+    """
+    congruences, doubling = (
+        ((), None) if rule is None
+        else (congruence_structures(rule), doubling_free_certificate(rule))
+    )
+    unrefutable = not congruences and doubling is None
+    values: list[tuple[tuple[int, ...], int]] = []
+    structural: tuple[tuple[int, ...], dict] | None = None
+    failing: tuple[tuple[int, ...], dict] | None = None
+    for cell in itertools.product(range(grid.nmax + 1), repeat=len(a)):
+        if structural is not None or (failing is not None and unrefutable):
+            break
+        value, info, empty = probe(cell)
+        cert = structural_cell_certificate(a, cell, congruences, doubling) if empty else None
+        if cert is not None:
+            structural = (cell, cert)
+        elif info is None:
+            values.append((cell, value))
+        elif failing is None:
+            failing = (cell, info)
+    if structural is not None:
+        cell, cert = structural
+        witness = {"cell": list(cell), "vector": list(a)}
+        return WindowReport(REFUTED, witness, s.horizon, PROOF, certificate=cert), values
+    if failing is not None:
+        cell, info = failing
+        tag = HOLDS_ON_WINDOW if info["reason"] == "horizon-limited" else REFUTED_ON_WINDOW
+        witness = dict(info, cell=list(cell), vector=list(a))
+        return WindowReport(UNDETERMINED, witness, s.horizon, tag), values
+    return None, values
 
 
 def fa_grid_report(
@@ -323,14 +357,8 @@ def fa_grid_report(
     _check_grid_shape(a, grid)
     if grid.kmax < 1:
         raise ConfigError("kmax must be >= 1 for the k search")
-    congruences, doubling = analyzers = _rule_analyzers(rule)
-    h = s.horizon
-    mask = s.mask
-    r = len(a)
-    span = grid.nmax + 1
-
-    ok_tables = []
-    known_tables = []
+    h, mask, span = s.horizon, s.mask, grid.nmax + 1
+    ok_tables, known_tables = [], []
     for ai in a:
         ok = np.zeros((grid.kmax, span), dtype=bool)
         known = np.zeros((grid.kmax, span), dtype=bool)
@@ -342,12 +370,7 @@ def fa_grid_report(
         ok_tables.append(ok)
         known_tables.append(known)
 
-    witnesses: list[tuple[tuple[int, ...], int]] = []
-    structural: tuple[tuple[int, ...], dict] | None = None
-    failing: tuple[tuple[int, ...], str] | None = None
-    for cell in itertools.product(range(span), repeat=r):
-        if _decided(structural, failing, analyzers):
-            break
+    def probe(cell: tuple[int, ...]) -> tuple[int | None, dict | None, bool]:
         ok = np.ones(grid.kmax, dtype=bool)
         known = np.ones(grid.kmax, dtype=bool)
         for i, v in enumerate(cell):
@@ -355,33 +378,12 @@ def fa_grid_report(
             known &= known_tables[i][:, v]
         hit = np.flatnonzero(ok & known)
         if hit.size:
-            witnesses.append((cell, int(hit[0]) + 1))
-            continue
-        cert = structural_cell_certificate(a, cell, congruences, doubling)
-        if cert is not None:
-            structural = (cell, cert)
-        elif failing is None:
-            reason = "no-witness" if bool(known.all()) else "horizon-limited"
-            failing = (cell, reason)
+            return int(hit[0]) + 1, None, False
+        return None, {"reason": "no-witness" if bool(known.all()) else "horizon-limited"}, True
 
-    if structural is not None:
-        cell, cert = structural
-        return WindowReport(
-            REFUTED,
-            {"cell": list(cell), "vector": list(a)},
-            h,
-            PROOF,
-            certificate=cert,
-        )
-    if failing is not None:
-        cell, reason = failing
-        tag = HOLDS_ON_WINDOW if reason == "horizon-limited" else REFUTED_ON_WINDOW
-        return WindowReport(
-            UNDETERMINED,
-            {"cell": list(cell), "reason": reason, "vector": list(a)},
-            h,
-            tag,
-        )
+    report, witnesses = _grid_scan(s, a, grid, rule, probe)
+    if report is not None:
+        return report
     payload: dict = {
         "cells": len(witnesses),
         "max_k": max(k for _, k in witnesses),
@@ -453,64 +455,30 @@ def fsa_grid_report(
     _check_grid_shape(a, grid)
     if grid.g is None:
         raise ConfigError("the syndetic vector family needs a gap bound g")
-    congruences, doubling = analyzers = _rule_analyzers(rule)
-    g = grid.g
-    h = s.horizon
-    mask = s.mask
-    span = grid.nmax + 1
+    g, h, mask = grid.g, s.horizon, s.mask
 
-    structural: tuple[tuple[int, ...], dict] | None = None
-    failing: tuple[tuple[int, ...], dict] | None = None
-    max_gap_seen = 0
-    cells = 0
-    for cell in itertools.product(range(span), repeat=len(a)):
-        if _decided(structural, failing, analyzers):
-            break
-        cells += 1
+    def probe(cell: tuple[int, ...]) -> tuple[int | None, dict | None, bool]:
         m_eff = min((h - 1 - ni) // ai for ai, ni in zip(a, cell))
         if m_eff < 1:
-            if failing is None:
-                failing = (cell, {"reason": "horizon-limited"})
-            continue
+            return None, {"reason": "horizon-limited"}, False
         b_mask = np.ones(m_eff, dtype=bool)
         for ai, ni in zip(a, cell):
             b_mask &= mask[ai + ni : ai * m_eff + ni + 1 : ai]
         members = np.flatnonzero(b_mask) + 1
         if members.size == 0:
-            cert = structural_cell_certificate(a, cell, congruences, doubling)
-            if cert is not None:
-                structural = (cell, cert)
-            elif failing is None:
-                failing = (cell, {"reason": "empty-on-window"})
-            continue
+            return None, {"reason": "empty-on-window"}, True
         gap = _syndetic_gap(members, m_eff + 1, g)
         if gap is not None:
-            if failing is None:
-                failing = (cell, dict(gap, reason="gap-exceeded"))
-            continue
+            return None, dict(gap, reason="gap-exceeded"), False
         worst = int(np.diff(members).max()) if members.size > 1 else 0
-        max_gap_seen = max(max_gap_seen, worst, int(members[0]))
+        return max(worst, int(members[0])), None, False
 
-    if structural is not None:
-        cell, cert = structural
-        return WindowReport(
-            REFUTED,
-            {"cell": list(cell), "vector": list(a)},
-            h,
-            PROOF,
-            certificate=cert,
-        )
-    if failing is not None:
-        cell, info = failing
-        return WindowReport(
-            UNDETERMINED,
-            dict(info, cell=list(cell), vector=list(a)),
-            h,
-            REFUTED_ON_WINDOW if info.get("reason") != "horizon-limited" else HOLDS_ON_WINDOW,
-        )
+    report, gaps = _grid_scan(s, a, grid, rule, probe)
+    if report is not None:
+        return report
     return WindowReport(
         WITNESSED,
-        {"cells": cells, "max_gap": max_gap_seen, "g": g, "vector": list(a)},
+        {"cells": len(gaps), "max_gap": max(gap for _, gap in gaps), "g": g, "vector": list(a)},
         h,
         HOLDS_ON_GRID,
     )

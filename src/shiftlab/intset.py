@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ConfigError, HorizonExhausted
+from .errors import CapExceeded, ConfigError
 
 # Maximum nesting depth for composite set rules.
 MAX_RULE_DEPTH = 16
@@ -96,12 +96,6 @@ class WindowedSet:
     def first(self) -> int | None:
         """The least member, or None when the window is empty."""
         return first_member(self.mask)
-
-    def restrict(self, hi: int) -> "WindowedSet":
-        """Intersect with [0, hi); ``hi`` must not exceed the horizon."""
-        if hi > self.horizon:
-            raise HorizonExhausted(f"cannot restrict to {hi} > horizon {self.horizon}")
-        return WindowedSet.from_mask(self.mask[: max(hi, 0)], self.complete)
 
 
 # ---------------------------------------------------------------------------

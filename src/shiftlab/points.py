@@ -16,7 +16,7 @@ forward iterates, and admissibility is translation invariant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,20 +80,20 @@ def champernowne(l_max: int, cap: int = CHAMPERNOWNE_CAP) -> GeneratedPoint:
         raise ConfigError("l_max must be >= 1")
     if l_max > cap:
         raise CapExceeded(f"l_max {l_max} exceeds the cap {cap}")
-    parts: list[str] = []
-    occurrence: dict[str, int] = {}
-    log: list[tuple[str, int]] = []
-    pos = 0
-    for length in range(1, l_max + 1):
-        for value in range(1 << length):
-            text = format(value, f"0{length}b")
-            occurrence[text] = pos
-            log.append((text, 0))
-            parts.append(text)
-            pos += length
-    joined = "".join(parts)
-    bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) == ord("1")
-    return GeneratedPoint(bits, occurrence, tuple(log), l_max, "full()", g_max=0)
+    # row i of block n spells i in n binary digits
+    blocks = [
+        (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 for n in range(1, l_max + 1)
+    ]
+    texts = [  # each row's digits as UCS-4 code points, read as one string
+        text for b in blocks
+        for text in (b + ord("0")).astype("<u4").view(f"<U{b.shape[1]}").ravel().tolist()
+    ]
+    lengths = np.repeat(np.arange(1, l_max + 1), [len(b) for b in blocks])
+    positions = (np.cumsum(lengths) - lengths).tolist()
+    bits = np.concatenate([b.ravel() for b in blocks]) == 1
+    occurrence = dict(zip(texts, positions))
+    log = tuple(zip(texts, [0] * len(texts)))
+    return GeneratedPoint(bits, occurrence, log, l_max, "full()", g_max=0)
 
 
 def _spacer_candidates(

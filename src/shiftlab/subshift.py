@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import threading
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -91,17 +90,8 @@ class Cylinder:
     offset: int = 0
 
 
-def cyl(text: str, offset: int = 0) -> Cylinder:
-    return Cylinder(Word.from_string(text), offset)
-
-
 # ---------------------------------------------------------------------------
 # shift rules
-
-
-# Held while a cached gap mask is grown and stored, so that threads sweeping
-# the same rule materialize its mask once.
-_GAP_MASK_LOCK = threading.Lock()
 
 
 def _cached_mask(
@@ -109,15 +99,11 @@ def _cached_mask(
 ) -> np.ndarray:
     """The rule's mask ``build(h)``, cached read-only and grown past ``bound``."""
     cached = rule.__dict__.get("_gap_mask")
-    # a stored mask is read without the lock
     if cached is None or len(cached) <= bound:
-        with _GAP_MASK_LOCK:
-            cached = rule.__dict__.get("_gap_mask")
-            if cached is None or len(cached) <= bound:
-                need = max(2 * len(cached) if cached is not None else 64, bound + 1)
-                cached = build(need)
-                cached.setflags(write=False)
-                object.__setattr__(rule, "_gap_mask", cached)
+        need = max(2 * len(cached) if cached is not None else 64, bound + 1)
+        cached = build(need)
+        cached.setflags(write=False)
+        object.__setattr__(rule, "_gap_mask", cached)
     return cached
 
 
@@ -575,12 +561,6 @@ def linear_hitting(
     coefs, cylinders = [c for c, _ in placements], [cy for _, cy in placements]
     ((_, masks, analysis),) = hitting_batches(rule, coefs, cylinders, [range(len(coefs))], h)
     return WindowedSet.from_mask(masks[0]), analysis(0)
-
-
-def hitting_window(rule: ShiftRule, u: Cylinder, v: Cylinder, h: int) -> WindowedSet:
-    """N([u],[v]) on [1,H]: times n with U meeting the n-preimage of V."""
-    window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
-    return window
 
 
 def emptiness_certificate(

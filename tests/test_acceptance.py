@@ -39,7 +39,6 @@ from shiftlab.subshift import (
     Word,
     emptiness_certificate,
     enumerate_admissible_words,
-    hitting_window,
     is_admissible,
     linear_hitting,
 )
@@ -53,6 +52,12 @@ from shiftlab.dynamics import (
 )
 
 W = Word.from_string
+
+
+def hitting_window(rule, u, v, h):
+    """N([u],[v]) on [1, h]: the batch of one that places u at 0 and v at n."""
+    window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
+    return window
 
 
 @contextmanager

@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.errors import ConfigError, PreconditionError
@@ -14,29 +15,30 @@ from shiftlab.families import (
     fa_grid_report,
     parse_family_spec,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks
+from shiftlab.intset import ArithmeticProgression, DyadicBlocks, WindowedSet
 from shiftlab.points import (
     build_transitive_point,
     champernowne,
     entering_window,
     periodic_point,
 )
-from shiftlab import subshift
+from shiftlab import dynamics, subshift
 from shiftlab.subshift import (
     Cylinder,
     FullShift,
     Spacing,
     TripleRatio,
     Word,
+    emptiness_certificate,
     enumerate_admissible_words,
     hitting_batches,
-    hitting_window,
     is_admissible,
     linear_hitting,
     parse_shift_rule,
 )
 from shiftlab.dynamics import (
     FAILS_ON_WINDOW,
+    SweepOutcome,
     _index_tuples,
     _mask_ids,
     check_a_transitive,
@@ -51,6 +53,12 @@ from shiftlab.dynamics import (
 )
 
 W = Word.from_string
+
+
+def hitting_window(rule, u, v, h):
+    """N([u],[v]) on [1, h]: the batch of one that places u at 0 and v at n."""
+    window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
+    return window
 
 
 def evens_rule():
@@ -80,8 +88,6 @@ def test_cofinite_full_shift():
     assert rep.verdict == WITNESSED
     assert max(o.detail["n0"] for o in rep.outcomes) <= 4
     # n0 is genuinely least: n0-1 is outside the window unless n0 == 1
-    from shiftlab.subshift import hitting_window
-
     cyls = sweep_cylinders(FullShift(), 2)
     for (u, v), out in zip(itertools.product(cyls, repeat=2), rep.outcomes):
         window = hitting_window(FullShift(), u, v, 64)
@@ -225,6 +231,166 @@ def test_multi_and_product_reports_do_not_depend_on_history(text, a, length, h, 
 
 
 # ---------------------------------------------------------------------------
+# columnar sweep reports against a per-tuple reference
+
+
+def first_run(mask, run):
+    """Least n >= 1 with mask[n : n+run] all true, or None (one window)."""
+    ok = mask.copy()
+    ok[0] = False
+    for i in range(1, min(run, mask.size)):
+        ok[:-i] &= mask[i:]
+        ok[-i:] = False
+    hits = np.flatnonzero(ok)
+    return int(hits[0]) if hits.size else None
+
+
+def tuple_windows(rule, coefs, cylinders, tuples, h):
+    """(mask, analysis) of every tuple, copied out of the kernel's chunks."""
+    out = []
+    for _, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+        out += [(masks[i].copy(), analysis(i)) for i in range(len(masks))]
+    return out
+
+
+def certified(rule, words, mask, analyses, h):
+    first = int(mask.argmax())
+    if first:
+        return SweepOutcome(words, first)
+    cert = emptiness_certificate(rule, WindowedSet.from_mask(mask), analyses, h)
+    return SweepOutcome(words, None, None if cert is None else {"certificate": cert})
+
+
+def reference_sweep(kind, rule, length, h, a, n):
+    """Outcomes, failing words and stats, one SweepOutcome per tuple as built
+    before sweeps kept their witnesses as arrays."""
+    cyls = sweep_cylinders(rule, length)
+    names = [str(c.word) for c in cyls]
+    stats = {}
+    if kind in ("multi", "product"):
+        width = 2 if kind == "multi" else n + 1
+        coords = [[j * ai for j in range(width)] for ai in a]
+        tuples = list(itertools.product(range(len(cyls)), repeat=width))
+        per = [tuple_windows(rule, coefs, cyls, tuples, h) for coefs in coords]
+        outs = []
+        for family in itertools.product(range(len(tuples)), repeat=len(coords)):
+            mask = np.logical_and.reduce([per[i][t][0] for i, t in enumerate(family)])
+            words = sum((tuple(names[w] for w in tuples[t]) for t in family), ())
+            if kind == "multi":
+                analyses = [per[i][t][1] for i, t in enumerate(family)]
+                outs.append(certified(rule, words, mask, analyses, h))
+            else:
+                outs.append(SweepOutcome(words, int(mask.argmax()) or None))
+        if kind == "product":
+            stats["unique_masks"] = len({m.tobytes() for p in per for m, _ in p})
+    else:
+        k = len(a) + 1 if kind == "delta" else 2
+        tuples = list(itertools.product(range(len(cyls)), repeat=k))
+        coefs = (0,) + tuple(a) if kind == "delta" else (0, 1)
+        outs = []
+        for tup, (mask, analysis) in zip(tuples, tuple_windows(rule, coefs, cyls, tuples, h)):
+            words = tuple(names[w] for w in tup)
+            if kind == "delta":
+                outs.append(certified(rule, words, mask, analysis, h))
+            elif kind == "plain":
+                outs.append(SweepOutcome(words, int(mask.argmax()) or None))
+            elif kind == "cofinite_from":
+                missing = np.flatnonzero(~mask[1:]) + 1
+                last = int(missing[-1]) if missing.size else 0
+                if last >= h:
+                    outs.append(SweepOutcome(words, None, {"last_missing": last}))
+                else:
+                    outs.append(SweepOutcome(words, last + 1, {"n0": last + 1}))
+            else:
+                run = int(kind[len("thick(") : -1])
+                outs.append(SweepOutcome(words, first_run(mask, run), {"run_length": run}))
+    failing = next((o.words for o in outs if o.witness is None), None)
+    witnesses = [o.witness for o in outs if o.witness is not None]
+    stats = {"tuples": len(outs), **({"max_witness": max(witnesses)} if witnesses else {}), **stats}
+    return outs, failing, stats
+
+
+def sweep(kind, rule, length, h, a, n):
+    if kind == "multi":
+        return check_a_transitive(rule, a, length, h)
+    if kind == "delta":
+        return check_delta_a_transitive(rule, a, length, h)
+    if kind == "product":
+        return verify_delta_product(rule, a, n, length, h)
+    return check_transitive(rule, length, h, kind)
+
+
+SWEEP_KINDS = ["plain", "thick(1)", "thick(3)", "cofinite_from", "multi", "delta", "product"]
+
+
+@st.composite
+def sweep_args(draw):
+    kind = draw(st.sampled_from(SWEEP_KINDS))
+    rule = draw(st.sampled_from(RULE_TEXTS + ["spacing(ap(1,3))", "tripleratio(4)"]))
+    length = draw(st.integers(1, 2))
+    increasing = st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True).map(sorted)
+    a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3) if kind == "multi" else increasing)
+    n = draw(st.integers(1, 2))
+    if kind in ("multi", "product") and length == 2 and len(a) > 1:
+        n = 1  # at most 256 families when there are four words
+    return kind, parse_shift_rule(rule), length, draw(st.integers(1, 40)), a, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_args(), st.sampled_from([1, 3, None]))
+# two distinct certificates, whose order the report must keep
+@example(("delta", TripleRatio(3), 2, 20, [1, 3], 1), None)
+@example(("delta", TripleRatio(4), 2, 5, [1, 4], 1), 3)
+def test_columnar_reports_match_the_per_tuple_reference(args, rows):
+    from shiftlab.cli import _sweep_payload
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (subshift, dynamics):
+            if rows is not None:
+                mp.setattr(module, "chunk_rows", lambda row_bytes: rows)
+        rep = sweep(*args)
+    ref, failing, stats = reference_sweep(*args)
+    outs = rep.outcomes
+    assert len(outs) == len(ref)
+    assert list(outs) == ref
+    assert [outs[i] for i in range(len(ref))] == ref
+    assert outs[-1] == ref[-1] and outs[-len(ref)] == ref[0]
+    for bad in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            outs[bad]
+    for cut in (slice(None, 16), slice(3, 7), slice(-5, None), slice(None, None, -3)):
+        assert outs[cut] == tuple(ref[cut])
+    assert outs == tuple(ref) and outs != list(ref)
+    assert rep.failing == failing
+    assert rep.verdict == (WITNESSED if failing is None else FAILS_ON_WINDOW)
+    assert rep.stats == stats
+    certs = [o.detail["certificate"] for o in ref if o.detail and "certificate" in o.detail]
+    assert _sweep_payload(rep)[2] == list({json.dumps(c): c for c in certs}.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep_args(), st.randoms(use_true_random=False))
+def test_a_shuffled_tuple_order_restores_to_the_same_outcomes(args, rnd):
+    # every tuple (and family) list a sweep enumerates comes in a shuffled order;
+    # sorted back into canonical order by their words, the outcomes are unchanged
+    canonical = sweep(*args)
+    real = dynamics._index_tuples
+
+    def shuffled(width, k):
+        rows = real(width, k)
+        order = list(range(len(rows)))
+        rnd.shuffle(order)
+        return rows[order]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_index_tuples", shuffled)
+        moved = sweep(*args)
+    position = {o.words: t for t, o in enumerate(canonical.outcomes)}
+    assert sorted(moved.outcomes, key=lambda o: position[o.words]) == list(canonical.outcomes)
+    assert (moved.verdict, moved.stats) == (canonical.verdict, canonical.stats)
+
+
+# ---------------------------------------------------------------------------
 # check_delta_a_transitive
 
 
@@ -298,8 +464,6 @@ def test_nuv_evens_point():
     h = len(p)
     rep = verify_nuv(rule, p, W("1"), W("1"), h, h // 4)
     assert rep.equal
-    from shiftlab.subshift import hitting_window
-
     window = hitting_window(rule, Cylinder(W("1")), Cylinder(W("1")), h // 4)
     assert all(n % 2 == 0 for n in window)
 

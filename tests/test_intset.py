@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.errors import CapExceeded, ConfigError, HorizonExhausted
+from shiftlab.errors import CapExceeded, ConfigError
 from shiftlab.intset import (
     _DIFFERENCE_COST_CAP,
     _FFT_ERROR_LIMIT,
@@ -75,20 +75,16 @@ def test_members_must_be_increasing_and_bounded():
 @settings(max_examples=200)
 @given(
     st.integers(1, 80).flatmap(
-        lambda h: st.tuples(
-            st.one_of(
-                st.lists(st.booleans(), min_size=h, max_size=h),
-                st.just([False] * h),
-                st.just([True] * h),
-            ),
-            st.integers(-3, h),
+        lambda h: st.one_of(
+            st.lists(st.booleans(), min_size=h, max_size=h),
+            st.just([False] * h),
+            st.just([True] * h),
         )
     ),
     st.integers(-5, 90),
     st.booleans(),
 )
-def test_window_agrees_with_set_oracle(mask_and_cut, n, complete):
-    bits, hi = mask_and_cut
+def test_window_agrees_with_set_oracle(bits, n, complete):
     oracle = {i for i, b in enumerate(bits) if b}
     w = WindowedSet.from_mask(np.array(bits, dtype=bool), complete)
     assert w.horizon == len(bits)
@@ -99,23 +95,12 @@ def test_window_agrees_with_set_oracle(mask_and_cut, n, complete):
     assert all(type(v) is int for v in w)
     for probe in (n, np.int64(n), np.int32(n)):
         assert (probe in w) == (n in oracle)
-    if hi >= 1:
-        cut = w.restrict(hi)
-        assert cut.horizon == hi and cut.complete == w.complete
-        assert set(cut) == {v for v in oracle if v < hi}
-    else:
-        with pytest.raises(ConfigError):
-            w.restrict(hi)
-    with pytest.raises(HorizonExhausted):
-        w.restrict(len(bits) + 1)
 
 
 def test_window_mask_is_read_only():
     w = ws([1, 3], 5)
     with pytest.raises(ValueError):
         w.mask[2] = True
-    with pytest.raises(ValueError):
-        w.restrict(4).mask[0] = True
     assert tuple(w) == (1, 3)
 
 

@@ -69,6 +69,30 @@ def test_champernowne_length():
     assert p.period is None
 
 
+def formatted_champernowne(l_max):
+    """Bits, occurrence and log built word by word with ``format``."""
+    parts, occurrence, log, pos = [], {}, [], 0
+    for length in range(1, l_max + 1):
+        for value in range(1 << length):
+            text = format(value, f"0{length}b")
+            occurrence[text] = pos
+            log.append((text, 0))
+            parts.append(text)
+            pos += length
+    bits = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8) == ord("1")
+    return bits, occurrence, tuple(log)
+
+
+@pytest.mark.parametrize("l_max", range(1, 15))
+def test_champernowne_matches_the_word_by_word_construction(l_max):
+    bits, occurrence, log = formatted_champernowne(l_max)
+    p = champernowne(l_max)
+    assert p.bits.dtype == bool and np.array_equal(p.bits, bits)
+    assert p.occurrence == occurrence and list(p.occurrence) == list(occurrence)
+    assert p.build_log == log
+    assert all(type(w) is str and type(n) is int for w, n in p.occurrence.items())
+
+
 def test_champernowne_caps():
     with pytest.raises(ConfigError):
         champernowne(0)

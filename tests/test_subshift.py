@@ -7,8 +7,6 @@ ground truth for the zero-fill exactness claim.
 """
 
 import itertools
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -42,10 +40,8 @@ from shiftlab.subshift import (
     Spacing,
     TripleRatio,
     Word,
-    cyl,
     emptiness_certificate,
     enumerate_admissible_words,
-    hitting_window,
     is_admissible,
     linear_hitting,
     parse_shift_rule,
@@ -57,6 +53,16 @@ DYADIC = Spacing(DyadicBlocks())
 TR3 = TripleRatio(3)
 # gaps {2, 3, ...}: a spacing rule with a single forbidden gap
 SHIFT1 = Spacing(Translate(Naturals(), 1))
+
+
+def cyl(text, offset=0):
+    return Cylinder(Word.from_string(text), offset)
+
+
+def hitting_window(rule, u, v, h):
+    """N([u],[v]) on [1, h]: the batch of one that places u at 0 and v at n."""
+    window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -521,31 +527,6 @@ def test_rule_gap_masks_and_ratios():
     for rule in (FULL, TR3, TripleRatio(7)):
         assert rule.pair_mask(300)[rule.last_forbidden_gap + 1 : 301].all()
     assert EVENS.last_forbidden_gap == SHIFT1.last_forbidden_gap == float("inf")
-
-
-def test_gap_mask_materialized_once_across_threads(monkeypatch):
-    calls = []
-    real = subshift.materialize
-
-    def slow_materialize(rule, horizon):
-        calls.append(horizon)
-        time.sleep(0.05)
-        return real(rule, horizon)
-
-    monkeypatch.setattr(subshift, "materialize", slow_materialize)
-    rule = Spacing(DyadicBlocks())
-    masks = []
-    workers = [
-        threading.Thread(target=lambda: masks.append(rule.pair_mask(1000)))
-        for _ in range(4)
-    ]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert len(calls) == 1
-    assert len(masks) == 4 and all(m is masks[0] for m in masks)
 
 
 @settings(max_examples=80, deadline=None)
