@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -28,7 +29,14 @@ from shiftlab.points import (
     entering_window,
     periodic_point,
 )
-from shiftlab.subshift import FullShift, Spacing, TripleRatio, Word, is_admissible
+from shiftlab.subshift import (
+    FullShift,
+    Spacing,
+    TripleRatio,
+    Word,
+    is_admissible,
+    parse_shift_rule,
+)
 
 
 def evens_rule():
@@ -199,17 +207,58 @@ def test_greedy_prefix_is_admissible():
         assert is_admissible(rule, p.word)
 
 
-def test_greedy_spacers_are_minimal():
+@pytest.mark.parametrize(
+    "rule, l_max, g_max",
+    [(dyadic_rule(), 3, 4096), (shift1_rule(), 3, 4096), (evens_rule(), 4, 64)]
+    + [(TripleRatio(p), 5, 256) for p in range(3, 9)],
+)
+def test_greedy_spacers_are_minimal(rule, l_max, g_max):
     # replaying each step, no smaller spacer keeps the prefix admissible
-    for rule in (dyadic_rule(), shift1_rule()):
-        p = build_transitive_point(rule, 3, 4096)
-        prefix = ""
-        for w, g in p.build_log:
-            for smaller in range(g):
-                candidate = prefix + "0" * smaller + w
-                assert not is_admissible(rule, Word.from_string(candidate))
-            prefix = prefix + "0" * g + w
-        assert prefix == p.prefix_string()
+    p = build_transitive_point(rule, l_max, g_max)
+    prefix = ""
+    for w, g in p.build_log:
+        for smaller in range(g):
+            candidate = prefix + "0" * smaller + w
+            assert not is_admissible(rule, Word.from_string(candidate))
+        prefix = prefix + "0" * g + w
+        assert is_admissible(rule, Word.from_string(prefix))
+    assert prefix == p.prefix_string()
+
+
+def _build_digest(point):
+    """sha256 over the packed bits, then over [length, build_log] as JSON."""
+    h = hashlib.sha256(np.packbits(point.bits).tobytes())
+    h.update(json.dumps([len(point.bits), point.build_log]).encode())
+    return h.hexdigest()
+
+
+# Greedy builds as recorded from the per-word pair scan of every old 1, which
+# the grown triple anchors replaced: the same bits and build log, byte for byte.
+@pytest.mark.parametrize(
+    "literal, l_max, g_max, digest",
+    [
+        ("tripleratio(3)", 8, 4096, "6e53f9ed7b309bee1c3bad03432b4875c537a2a85ebfc289fdd0fcc602797148"),
+        ("tripleratio(5)", 8, 4096, "dfc1243b538166f8bea2efc498207f1cefb6128a432ceaec4a8885eb7456a901"),
+        ("tripleratio(7)", 8, 4096, "1ad5cf33edbeb0384ad2a5855ff9707038475cbe43aff9a27d816d95b2e57976"),
+        ("tripleratio(7)", 9, 4096, "7b2d7aeff56953bc0109fabb9bf9a216a4dbf5dd9be8b4f9600744064b306c39"),
+        ("full()", 10, 4096, "e0713c7ac2c2ca3bbc16199a29b9a701d574a746b1c8da0c9f4361dea1ffff01"),
+        ("spacing(dyadic())", 4, 4096, "957992e3ef0aa33e48b634b9643a476966e08a74568e931059276a716e32c141"),
+        ("spacing(evens())", 8, 64, "d832aa397d76acfb172d51f045b5da98ce43a9a6c33634b0cdb2efad197a7bda"),
+    ],
+)
+def test_greedy_builds_keep_their_recorded_bytes(literal, l_max, g_max, digest):
+    point = build_transitive_point(parse_shift_rule(literal), l_max, g_max)
+    assert _build_digest(point) == digest
+
+
+@pytest.mark.parametrize(
+    "literal, l_max, g_max, word",
+    [("tripleratio(4)", 7, 64, "100101"), ("spacing(dyadic())", 4, 256, "1000")],
+)
+def test_spacer_exhaustion_keeps_its_recorded_word(literal, l_max, g_max, word):
+    with pytest.raises(SpacerExhausted) as info:
+        build_transitive_point(parse_shift_rule(literal), l_max, g_max)
+    assert (info.value.word, info.value.spacer_max) == (word, g_max)
 
 
 def test_greedy_is_deterministic():
