@@ -35,6 +35,7 @@ from .families import (
 from .intset import WindowedSet, cross_differences
 from .points import GeneratedPoint, entering_window
 from .subshift import (
+    DEFAULT_WORD_CAP,
     Cylinder,
     HitAnalysis,
     ShiftRule,
@@ -328,7 +329,7 @@ def _check_scale(rule: ShiftRule, point: GeneratedPoint, scale: int) -> None:
     if scale <= point.scale:
         return
     text = point.prefix_string()
-    for w in enumerate_admissible_words(rule, scale, cap=max(scale, 12)):
+    for w in enumerate_admissible_words(rule, scale, cap=max(scale, DEFAULT_WORD_CAP)):
         if str(w) not in text:
             raise PreconditionError(
                 f"prefix is not transitive at scale {scale}: {w} never occurs"

@@ -97,33 +97,31 @@ def champernowne(l_max: int, cap: int = CHAMPERNOWNE_CAP) -> GeneratedPoint:
 
 
 def _spacer_candidates(
-    rule: ShiftRule, olds: np.ndarray, length: int, w: Word, g_max: int
+    rule: ShiftRule, olds: np.ndarray, length: int, w: Word, g_max: int, anchors: np.ndarray
 ) -> int | None:
     """Smallest g in [0, g_max] so that appending 0^g then w stays admissible.
 
     New 1s land at g + length + w.ones; every cross gap to an existing 1 is
     g plus a constant, so the affine gap kernel answers for all g at once.
+    ``anchors`` marks where two old 1s forbid a new 1 (read for ratio rules).
     """
     ratio = rule.ratio
-    if ratio is None:
-        # a cross gap is at least length - old, so older 1s pass every g
-        olds = olds[np.searchsorted(olds, length - rule.last_forbidden_gap) :]
-    if olds.size == 0 or not w.ones:
+    # a cross gap is at least length - old, so older 1s pass every g
+    near = olds[np.searchsorted(olds, length - rule.last_forbidden_gap) :]
+    if not w.ones or (ratio is None and near.size == 0):
         return 0
+    ok = np.ones(g_max + 1, dtype=bool)
     excluded = []
     if ratio is not None:
-        # spacers that complete a forbidden triple (old, old, new) or (old, new, new)
-        if olds.size >= 2:
-            i_lo, i_hi = np.triu_indices(olds.size, k=1)
-            anchors = ratio * (olds[i_hi] - olds[i_lo]) + olds[i_hi]
-            for wj in w.ones:
-                gs = anchors - (length + wj)
-                excluded.append(gs[(gs >= 0) & (gs <= g_max)])
+        # spacers that complete a forbidden triple (old, old, new) or (old, new, new);
+        # y - x = ratio * (x + length + g - old) puts the old 1 within |w| of the end
+        for x in w.ones:
+            ok &= ~anchors[length + x : length + x + g_max + 1]
+        ends = olds[np.searchsorted(olds, length - w.length) :]
         for x, y in itertools.combinations(w.ones, 2):
             if (y - x) % ratio == 0:
-                excluded.append((y - x) // ratio - length - x + olds)
-    deltas = np.subtract.outer(np.add(w.ones, length), olds).ravel()
-    ok = np.ones(g_max + 1, dtype=bool)
+                excluded.append((y - x) // ratio - length - x + ends)
+    deltas = np.subtract.outer(np.add(w.ones, length), near).ravel()
     excluded = np.concatenate(excluded) if excluded else ()
     affine_gap_window(rule, 1, deltas, 0, ok, excluded)
     return first_member(ok)
@@ -142,20 +140,31 @@ def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> Generated
         raise ConfigError("l_max must be >= 1")
     if g_max < 0:
         raise ConfigError("g_max must be >= 0")
-    ones = np.zeros(0, dtype=np.int64)
-    length = 0
+    cap = max(l_max, DEFAULT_WORD_CAP)
+    words = [w for n in range(1, l_max + 1) for w in enumerate_admissible_words(rule, n, cap)]
+    ratio = rule.ratio
+    # anchors[z]: placed 1s a < b with z = b + ratio * (b - a), so no later 1
+    # may sit at z; no prefix outgrows the sum of g_max + |w| over the words
+    anchors = np.zeros(sum(g_max + w.length for w in words) if ratio else 0, dtype=bool)
+    ones = np.zeros(sum(len(w.ones) for w in words), dtype=np.int64)
+    placed = length = 0
     occurrence: dict[str, int] = {}
     log: list[tuple[str, int]] = []
-    for level in range(1, l_max + 1):
-        for w in enumerate_admissible_words(rule, level, cap=max(l_max, DEFAULT_WORD_CAP)):
-            g = _spacer_candidates(rule, ones, length, w, g_max)
-            if g is None:
-                raise SpacerExhausted(str(w), g_max)
-            base = length + g
-            occurrence[str(w)] = base
-            log.append((str(w), g))
-            ones = np.concatenate((ones, np.asarray(w.ones, dtype=np.int64) + base))
-            length = base + w.length
+    for w in words:
+        g = _spacer_candidates(rule, ones[:placed], length, w, g_max, anchors)
+        if g is None:
+            raise SpacerExhausted(str(w), g_max)
+        base = length + g
+        occurrence[str(w)] = base
+        log.append((str(w), g))
+        ones[placed : placed + len(w.ones)] = np.add(w.ones, base)
+        placed += len(w.ones)
+        if ratio and w.ones:
+            new = ones[placed - len(w.ones) : placed, None]
+            d = new - ones[:placed]
+            z = (new + ratio * d)[d > 0]
+            anchors[z[z < anchors.size]] = True
+        length = base + w.length
     bits = np.zeros(length, dtype=bool)
     bits[ones] = True
     point = GeneratedPoint(
@@ -252,14 +261,7 @@ def decode_point(payload: dict) -> GeneratedPoint:
         raise ConfigError(f"corrupt point payload: {exc}") from exc
     if sum(runs) != length or any(r < 0 for r in runs):
         raise ConfigError("corrupt point payload: run lengths do not add up")
-    bits = np.zeros(length, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            bits[pos : pos + run] = True
-        pos += run
-        value = not value
+    bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
     occurrence: dict[str, int] = {}
     at = 0
     for w, g in log:

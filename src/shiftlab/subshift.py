@@ -225,44 +225,29 @@ def _meets(arr: np.ndarray, targets: np.ndarray) -> bool:
 def _positions_admissible(rule: ShiftRule, pos: Sequence[int]) -> bool:
     """Admissibility of a configuration whose 1s sit exactly at ``pos`` (sorted).
 
-    Gaps are only read when the mask forbids some gap up to the span.  Long
-    configurations (m > 64 ones) then search the positions for each forbidden
-    gap while there are fewer than m/4: one search measured 1/2 to 1/4 of the
-    m - 1 row reads (m from 65 to 4,000; numpy 2.4, 2-core Xeon VM).  With
-    more forbidden gaps they read the mask row by row.
+    Pair gaps are read one diagonal at a time: diagonal k holds the gaps
+    pos[i + k] - pos[i], and its least gap grows with k, so the scan stops at
+    the first diagonal past the largest gap the mask forbids up to the span.
+    Triples are searched per middle 1 j: (i, j, k) is forbidden iff
+    pos[k] = pos[j] + ratio * (pos[j] - pos[i]).
     """
-    m = len(pos)
+    arr = np.asarray(pos, dtype=np.int64)
+    m = arr.size
     if m < 2:
         return True
-    big = m > 64
-    arr = np.asarray(pos, dtype=np.int64) if big else None
-    span = pos[-1] - pos[0]
+    span = int(arr[-1] - arr[0])
     allowed = rule.pair_mask(span)
-    forbidden = span - np.count_nonzero(allowed[1 : span + 1])
-    if forbidden and not big:
-        for a, b in itertools.combinations(pos, 2):
-            if not allowed[b - a]:
-                return False
-    elif forbidden and forbidden * 4 < m:
-        for g in np.flatnonzero(~allowed[1 : span + 1]) + 1:
-            if _meets(arr, arr + g):
-                return False
-    elif forbidden:
-        for i in range(m - 1):
-            if not allowed[arr[i + 1 :] - arr[i]].all():
-                return False
-    ratio = rule.ratio
-    if ratio is not None and m >= 3:
-        if big:
-            # (i, j, k) forbidden iff k = j + ratio*(j - i): search per pair.
-            for j in range(1, m):
-                if _meets(arr, arr[j] + ratio * (arr[j] - arr[:j])):
-                    return False
-        else:
-            have = set(pos)
-            for i, j in itertools.combinations(range(m), 2):
-                if pos[j] + ratio * (pos[j] - pos[i]) in have:
-                    return False
+    forbidden = np.flatnonzero(~allowed[1 : span + 1])
+    last = forbidden[-1] + 1 if forbidden.size else 0
+    for k in range(1, m):
+        gaps = arr[k:] - arr[:-k]
+        if gaps.min() > last:
+            break
+        if not allowed[gaps].all():
+            return False
+    for j in range(1, m) if rule.ratio is not None else ():
+        if _meets(arr, arr[j] + rule.ratio * (arr[j] - arr[:j])):
+            return False
     return True
 
 
@@ -386,8 +371,7 @@ def affine_gap_window(
     caller can pass a slice of its own mask.  ``coefs`` (each >= 1; an int or
     an array) pair with ``deltas``.  With no forbidden gap in the range the
     constraints reach (none past the rule's last) they all pass; otherwise the
-    cheaper of two loops runs: solve each forbidden gap for n, or slice the
-    mask once per distinct constraint.
+    mask is sliced once per distinct constraint.
     """
     hi = lo + ok.size - 1
     deltas = np.asarray(deltas, dtype=np.int64)
@@ -395,14 +379,7 @@ def affine_gap_window(
     if deltas.size and g_lo <= rule.last_forbidden_gap:
         g_hi = int((coefs * hi + deltas).max())
         allowed = rule.pair_mask(g_hi)[g_lo : g_hi + 1]
-        forbidden = allowed.size - np.count_nonzero(allowed)
-        # Measured on numpy 2.4, 2-core Xeon VM: one gap solve costs about
-        # 7 us + 7 ns per constraint, one slice 1 us + 0.5 ns per window position.
-        solve = forbidden * (1000 + deltas.size) * 14 < deltas.size * (2000 + ok.size)
-        if forbidden and solve:
-            for g in (np.flatnonzero(~allowed) + g_lo).tolist():
-                _strike(ok, lo, g - deltas, coefs)
-        elif forbidden:
+        if not allowed.all():
             pairs = zip(np.broadcast_to(coefs, deltas.shape).tolist(), deltas.tolist())
             for c, d in set(pairs):
                 start = c * lo + d - g_lo
@@ -497,6 +474,10 @@ def hitting_batches(
             clashes.append((j, k, left - oj, left - ok, right - left))
 
     lo = n_star + 1
+    # tails differ only by exclusions and constraints that reach a forbidden gap
+    reach = item_c * lo + item_d <= rule.last_forbidden_gap
+    key_cols = np.concatenate((np.flatnonzero(reach), np.arange(len(points)) + len(items)))
+    item_c, item_d = item_c[reach], item_d[reach]
     scratch = max([w for _, _, w, _ in steps] + [sum(map(len, groups))])
     rows = chunk_rows(h + 1 + len(cand) + scratch)
     buffer = np.zeros((min(rows, len(tuples)), h + 1), dtype=bool)
@@ -525,14 +506,14 @@ def hitting_batches(
         for x, (j, k, a, b, span) in enumerate(clashes):
             clash[:, x] = (placed[j][:, a : a + span] != placed[k][:, b : b + span]).any(axis=1)
         dead = bad_gaps.any(axis=1) | clash.any(axis=1)
-        # one affine window per distinct set of tail constraints and exclusions
+        # one affine window per distinct set of reaching constraints and exclusions
         live = np.flatnonzero(~dead & ~triples.any(axis=1)) if lo <= h else []
-        keys, inverse = unique_rows(need[live])
+        keys, inverse = unique_rows(need[live][:, key_cols])
         for g, key in enumerate(keys):
             group = live[inverse == g]
             tail = masks[group[0], lo:]
             tail[:] = True
-            c, e = key[: len(items)], key[len(items) :]
+            c, e = key[: item_c.size], key[item_c.size :]
             affine_gap_window(rule, item_c[c], item_d[c], lo, tail, points[e])
             if len(group) > 1:  # (an empty fancy assignment still copies ``tail``)
                 masks[group[1:], lo:] = tail

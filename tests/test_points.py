@@ -232,8 +232,8 @@ def _build_digest(point):
     return h.hexdigest()
 
 
-# Greedy builds as recorded from the per-word pair scan of every old 1, which
-# the grown triple anchors replaced: the same bits and build log, byte for byte.
+# Recorded greedy builds: whatever the spacer search does inside, it must lay
+# down the same bits and build log, byte for byte.
 @pytest.mark.parametrize(
     "literal, l_max, g_max, digest",
     [

@@ -87,13 +87,8 @@ ORACLE_PAIR = {
     "tr3": lambda g: g != 1,
     "shift1": lambda g: g >= 2,
 }
-ORACLE_TRIPLE = {
-    "full": lambda g1, g2: True,
-    "evens": lambda g1, g2: True,
-    "dyadic": lambda g1, g2: True,
-    "tr3": lambda g1, g2: g2 != 2 * g1,
-    "shift1": lambda g1, g2: True,
-}
+# rules without an entry have no triple law
+ORACLE_TRIPLE = {"tr3": lambda g1, g2: g2 != 2 * g1}
 RULES = {"full": FULL, "evens": EVENS, "dyadic": DYADIC, "tr3": TR3, "shift1": SHIFT1}
 
 
@@ -107,8 +102,9 @@ def oracle_word_admissible(name: str, ones) -> bool:
     for a, b in itertools.combinations(ones, 2):
         if not ORACLE_PAIR[name](b - a):
             return False
-    for a, b, c in itertools.combinations(ones, 3):
-        if not ORACLE_TRIPLE[name](b - a, c - b):
+    triple = ORACLE_TRIPLE.get(name)
+    for a, b, c in itertools.combinations(ones, 3) if triple else ():
+        if not triple(b - a, c - b):
             return False
     return True
 
@@ -222,17 +218,50 @@ def test_vectorized_admissibility_agrees_on_long_words():
     w = Word(4000, ones)
     for name, rule in RULES.items():
         assert is_admissible(rule, w) == oracle_word_admissible(name, ones)
-    # and an admissible long word exercising the accepting big path
+    # an admissible long word whose every odd gap is forbidden: the pair scan
+    # reads every diagonal
     assert is_admissible(EVENS, Word(8000, tuple(range(0, 8000, 2))))
-    # a single forbidden gap in a long word, on a spacing rule
+    # a single forbidden gap in a long word, on a spacing rule: the pair scan
+    # stops after the first diagonal
     assert is_admissible(SHIFT1, Word(8000, tuple(range(0, 8000, 2))))
     assert not is_admissible(SHIFT1, Word(8000, tuple(range(0, 7000, 2)) + (6999,)))
-    # gaps 1..20 forbidden, so 70 ones are read row by row; only the last two
-    # sit too close
+    # gaps 1..20 forbidden, so the scan stops after the first diagonal of
+    # 70 ones; only the last two sit too close
     far = parse_shift_rule("spacing(shift(nat(),20))")
     ones = tuple(range(0, 1750, 25))
     assert is_admissible(far, Word(1750, ones))
     assert not is_admissible(far, Word(1750, ones[:-1] + (ones[-2] + 10,)))
+
+
+# forbids only the gaps 300..400: the pair scan stops at the first diagonal
+# whose least gap passes 400
+ORACLE_PAIR["far"] = lambda g: not 300 <= g <= 400
+LONG_RULES = {**RULES, "far": parse_shift_rule("spacing(union(range(1,299),shift(nat(),400)))")}
+
+
+@st.composite
+def long_configurations(draw):
+    """65-200 ones, times 1 or 2, maybe plus a stray 1: consecutive gaps from
+    one band, or the numbers whose base-4 digits are 0 or 2 (no three of them
+    have c - b = 2(b - a), so tr3 admits them)."""
+    m = draw(st.integers(65, 200))
+    band = draw(st.sampled_from([None, (1, 2), (1, 4), (2, 16), (8, 64), (401, 600), (1, 600)]))
+    step = draw(st.sampled_from([1, 2]))
+    if band is None:
+        ones = {2 * int(f"{i:b}", 4) for i in range(m)}
+    else:
+        gaps = draw(st.lists(st.integers(*band), min_size=m - 1, max_size=m - 1))
+        ones = set(np.cumsum([0] + gaps).tolist())
+    if draw(st.booleans()):
+        ones.add(draw(st.integers(0, max(ones))))
+    return sorted(step * x for x in ones)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LONG_RULES)), long_configurations())
+def test_long_configuration_admissibility_matches_oracle(name, ones):
+    w = Word(ones[-1] + 1, tuple(ones))
+    assert is_admissible(LONG_RULES[name], w) == oracle_word_admissible(name, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +561,8 @@ def test_rule_gap_masks_and_ratios():
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(RULES) + ["sparse5"]),
-    # a few constraints slice the mask; many solve the forbidden gaps of the
-    # sparse rules (tr3, shift1, sparse5) instead
+    # a few constraints, or many that repeat (coef, delta) pairs: the mask is
+    # sliced once per distinct pair
     st.one_of(
         st.lists(st.tuples(st.integers(1, 3), st.integers(1, 12)), max_size=5),
         st.lists(
