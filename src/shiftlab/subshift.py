@@ -20,9 +20,9 @@ number per sweep.  Up to it, each n is one vectorized step over all tuples:
 the placed word rows are ORed into a dense superposition and tested for a
 1-vs-0 clash, forbidden gaps and forbidden triples.  Past it the cross gaps
 are affine in n: each tuple holds some of the sweep's few (coef, delta)
-constraints and triple-law exclusions, and every distinct set of them is
-solved once by slicing the rule's gap mask.  A single window is the batch
-of one.
+constraints and triple-law exclusions, and every distinct set of the
+exclusions and the constraints that can reach a forbidden gap is solved
+once by slicing the rule's gap mask.  A single window is the batch of one.
 """
 
 from __future__ import annotations
