@@ -207,7 +207,7 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
         # write beside the entry and rename, so readers never see a partial file
         fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
-            f.write(render_json(encode_point(point)))
+            f.write(json.dumps(encode_point(point), separators=(",", ":")))
         os.replace(tmp, cache_path)
     return point
 

@@ -41,11 +41,11 @@ from .subshift import (
     ShiftRule,
     TWO_SIDED,
     Word,
+    _positions_admissible,
     chunk_rows,
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_batches,
-    is_admissible,
     unique_rows,
 )
 
@@ -346,7 +346,7 @@ def _check_nuv(
         raise PreconditionError(
             f"prefix length {len(point)} is shorter than the horizon {h}"
         )
-    if not is_admissible(rule, point.word):
+    if not _positions_admissible(rule, np.flatnonzero(point.bits)):
         raise PreconditionError(
             f"the point's prefix is not admissible under {rule.literal()}, so its "
             "entering-time differences need not be hitting times"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +30,15 @@ from .errors import (
 from .intset import WindowedSet, first_member
 from .subshift import (
     DEFAULT_WORD_CAP,
+    FullShift,
     ShiftRule,
     Word,
+    _positions_admissible,
+    admissible_rows,
     affine_gap_window,
-    enumerate_admissible_words,
     is_admissible,
     parse_shift_rule,
+    row_texts,
 )
 
 CHAMPERNOWNE_CAP = 16
@@ -66,12 +68,8 @@ class GeneratedPoint:
     def __len__(self) -> int:
         return len(self.bits)
 
-    @cached_property
-    def word(self) -> Word:
-        return Word(len(self.bits), tuple(np.flatnonzero(self.bits).tolist()))
-
     def prefix_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits.view(np.uint8) + np.uint8(ord("0"))).tobytes().decode("ascii")
 
 
 def champernowne(l_max: int, cap: int = CHAMPERNOWNE_CAP) -> GeneratedPoint:
@@ -80,51 +78,56 @@ def champernowne(l_max: int, cap: int = CHAMPERNOWNE_CAP) -> GeneratedPoint:
         raise ConfigError("l_max must be >= 1")
     if l_max > cap:
         raise CapExceeded(f"l_max {l_max} exceeds the cap {cap}")
-    # row i of block n spells i in n binary digits
-    blocks = [
-        (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 for n in range(1, l_max + 1)
-    ]
-    texts = [  # each row's digits as UCS-4 code points, read as one string
-        text for b in blocks
-        for text in (b + ord("0")).astype("<u4").view(f"<U{b.shape[1]}").ravel().tolist()
-    ]
-    lengths = np.repeat(np.arange(1, l_max + 1), [len(b) for b in blocks])
-    positions = (np.cumsum(lengths) - lengths).tolist()
-    bits = np.concatenate([b.ravel() for b in blocks]) == 1
-    occurrence = dict(zip(texts, positions))
+    blocks = [admissible_rows(FullShift(), n, cap) for n in range(1, l_max + 1)]
+    texts = [text for b in blocks for text in row_texts(b)]
+    bits = np.concatenate([b.ravel() for b in blocks])
+    occurrence = dict(zip(texts, itertools.accumulate(map(len, texts), initial=0)))
     log = tuple(zip(texts, [0] * len(texts)))
     return GeneratedPoint(bits, occurrence, log, l_max, "full()", g_max=0)
 
 
 def _spacer_candidates(
-    rule: ShiftRule, olds: np.ndarray, length: int, w: Word, g_max: int, anchors: np.ndarray
+    rule: ShiftRule, olds: np.ndarray, length: int, ones: np.ndarray, n: int, g_max: int,
+    anchors: np.ndarray,
 ) -> int | None:
-    """Smallest g in [0, g_max] so that appending 0^g then w stays admissible.
+    """Smallest g in [0, g_max] so that appending 0^g then a word of length n stays admissible.
 
-    New 1s land at g + length + w.ones; every cross gap to an existing 1 is
+    New 1s land at g + length + ones; every cross gap to an existing 1 is
     g plus a constant, so the affine gap kernel answers for all g at once.
     ``anchors`` marks where two old 1s forbid a new 1 (read for ratio rules).
     """
     ratio = rule.ratio
     # a cross gap is at least length - old, so older 1s pass every g
-    near = olds[np.searchsorted(olds, length - rule.last_forbidden_gap) :]
-    if not w.ones or (ratio is None and near.size == 0):
+    reach = length - rule.last_forbidden_gap
+    if not ones.size or (ratio is None and (not olds.size or olds[-1] < reach)):
         return 0
+    near = olds[np.searchsorted(olds, reach) :]
     ok = np.ones(g_max + 1, dtype=bool)
     excluded = []
     if ratio is not None:
         # spacers that complete a forbidden triple (old, old, new) or (old, new, new);
-        # y - x = ratio * (x + length + g - old) puts the old 1 within |w| of the end
-        for x in w.ones:
+        # y - x = ratio * (x + length + g - old) puts the old 1 within n of the end
+        for x in ones.tolist():
             ok &= ~anchors[length + x : length + x + g_max + 1]
-        ends = olds[np.searchsorted(olds, length - w.length) :]
-        for x, y in itertools.combinations(w.ones, 2):
+        ends = olds[np.searchsorted(olds, length - n) :]
+        for x, y in itertools.combinations(ones.tolist(), 2):
             if (y - x) % ratio == 0:
                 excluded.append((y - x) // ratio - length - x + ends)
-    deltas = np.subtract.outer(np.add(w.ones, length), near).ravel()
+    deltas = np.subtract.outer(ones + length, near).ravel()
     excluded = np.concatenate(excluded) if excluded else ()
     affine_gap_window(rule, 1, deltas, 0, ok, excluded)
     return first_member(ok)
+
+
+def _word_table(rule: ShiftRule, l_max: int) -> list[tuple[str, np.ndarray]]:
+    """(text, 1-positions) of every admissible word of length <= l_max, in
+    length-then-lex order, read off each length's admissible rows."""
+    table: list[tuple[str, np.ndarray]] = []
+    for n in range(1, l_max + 1):
+        rows = admissible_rows(rule, n, max(l_max, DEFAULT_WORD_CAP))
+        cols, ends = np.nonzero(rows)[1], np.cumsum(rows.sum(axis=1)).tolist()
+        table += zip(row_texts(rows), [cols[a:b] for a, b in zip([0] + ends, ends)])
+    return table
 
 
 def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> GeneratedPoint:
@@ -140,38 +143,37 @@ def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> Generated
         raise ConfigError("l_max must be >= 1")
     if g_max < 0:
         raise ConfigError("g_max must be >= 0")
-    cap = max(l_max, DEFAULT_WORD_CAP)
-    words = [w for n in range(1, l_max + 1) for w in enumerate_admissible_words(rule, n, cap)]
+    table = _word_table(rule, l_max)
     ratio = rule.ratio
     # anchors[z]: placed 1s a < b with z = b + ratio * (b - a), so no later 1
     # may sit at z; no prefix outgrows the sum of g_max + |w| over the words
-    anchors = np.zeros(sum(g_max + w.length for w in words) if ratio else 0, dtype=bool)
-    ones = np.zeros(sum(len(w.ones) for w in words), dtype=np.int64)
+    anchors = np.zeros(sum(g_max + len(t) for t, _ in table) if ratio else 0, dtype=bool)
+    ones = np.zeros(sum(x.size for _, x in table), dtype=np.int64)
     placed = length = 0
     occurrence: dict[str, int] = {}
     log: list[tuple[str, int]] = []
-    for w in words:
-        g = _spacer_candidates(rule, ones[:placed], length, w, g_max, anchors)
+    for text, xs in table:
+        g = _spacer_candidates(rule, ones[:placed], length, xs, len(text), g_max, anchors)
         if g is None:
-            raise SpacerExhausted(str(w), g_max)
+            raise SpacerExhausted(text, g_max)
         base = length + g
-        occurrence[str(w)] = base
-        log.append((str(w), g))
-        ones[placed : placed + len(w.ones)] = np.add(w.ones, base)
-        placed += len(w.ones)
-        if ratio and w.ones:
-            new = ones[placed - len(w.ones) : placed, None]
+        occurrence[text] = base
+        log.append((text, g))
+        ones[placed : placed + xs.size] = xs + base
+        placed += xs.size
+        if ratio and xs.size:
+            new = ones[placed - xs.size : placed, None]
             d = new - ones[:placed]
             z = (new + ratio * d)[d > 0]
             anchors[z[z < anchors.size]] = True
-        length = base + w.length
+        length = base + len(text)
     bits = np.zeros(length, dtype=bool)
     bits[ones] = True
     point = GeneratedPoint(
         bits, occurrence, tuple(log), l_max, rule.literal(), g_max=g_max
     )
     # re-verify on the full prefix rather than trusting incremental checks
-    if not is_admissible(rule, point.word):
+    if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise AssertionError("greedy construction produced an inadmissible prefix")
     return point
 
@@ -184,8 +186,7 @@ def periodic_point(rule: ShiftRule, w: Word, min_length: int) -> GeneratedPoint:
     bits = np.zeros(reps * w.length, dtype=bool)
     for i in w.ones:
         bits[i :: w.length] = True
-    full = Word(len(bits), tuple(np.flatnonzero(bits).tolist()))
-    if not is_admissible(rule, full):
+    if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise PreconditionError(
             f"word {w} does not generate an admissible periodic point"
         )
@@ -229,14 +230,10 @@ def entering_window(
 def encode_point(point: GeneratedPoint) -> dict:
     """JSON-ready payload: rule, parameters, run-length-encoded prefix."""
     bits = point.bits
-    if bits.size == 0:
-        runs: list[int] = []
-    else:
-        edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        bounds = np.concatenate(([0], edges, [bits.size]))
-        runs = np.diff(bounds).tolist()
-        if bool(bits[0]):
-            runs = [0] + runs
+    # runs alternate 0s and 1s from a run of 0s, which is empty when bits[0] is 1
+    padded = np.concatenate(([False], bits))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    runs = np.diff([0] + edges + [bits.size]).tolist()
     return {
         "schema": 1,
         "rule": point.rule_literal,
@@ -254,19 +251,20 @@ def decode_point(payload: dict) -> GeneratedPoint:
     try:
         rule = parse_shift_rule(payload["rule"])
         length = int(payload["length"])
-        runs = [int(x) for x in payload["rle"]]
+        runs = np.asarray(payload["rle"], dtype=np.int64)
         log = tuple((str(w), int(g)) for w, g in payload["build_log"])
         scale = int(payload["scale"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"corrupt point payload: {exc}") from exc
-    if sum(runs) != length or any(r < 0 for r in runs):
+    if runs.ndim != 1 or not ((runs >= 0) & (runs <= length)).all():
+        raise ConfigError("corrupt point payload: run lengths out of range")
+    # each run is below 2^63, so a prefix sum that wraps turns negative
+    ends = np.cumsum(runs)
+    if (ends < 0).any() or (int(ends[-1]) if ends.size else 0) != length:
         raise ConfigError("corrupt point payload: run lengths do not add up")
-    bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
-    occurrence: dict[str, int] = {}
-    at = 0
-    for w, g in log:
-        occurrence[w] = at + g
-        at += g + len(w)
+    bits = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+    starts = itertools.accumulate((g + len(w) for w, g in log), initial=0)
+    occurrence = {w: at + g for (w, g), at in zip(log, starts)}
     point = GeneratedPoint(
         bits,
         occurrence,
@@ -276,6 +274,6 @@ def decode_point(payload: dict) -> GeneratedPoint:
         g_max=payload.get("g_max"),
         period=payload.get("period"),
     )
-    if not is_admissible(rule, point.word):
+    if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise ConfigError("corrupt point payload: prefix is not admissible")
     return point

@@ -270,18 +270,29 @@ def _dense_violations(rule: ShiftRule, u: np.ndarray, reach: set[int]) -> np.nda
     return bad
 
 
-def enumerate_admissible_words(
-    rule: ShiftRule, length: int, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
-    """All admissible words of the given length, lexicographic (0 < 1)."""
+def row_texts(rows: np.ndarray) -> list[str]:
+    """Each bool row as a 0/1 string: its digits as UCS-4 code points, read as one string."""
+    codes = rows.astype("<u4") + np.uint32(ord("0"))
+    return codes.view(f"<U{rows.shape[1]}").ravel().tolist()
+
+
+def admissible_rows(rule: ShiftRule, length: int, cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
+    """The admissible words of the given length as bool rows, lexicographic (0 < 1)."""
     if length < 1:
         raise ConfigError("word length must be >= 1")
     if length > cap:
         raise CapExceeded(f"word length {length} exceeds the cap {cap}")
     # row i spells i in binary, so the rows are in lexicographic order
     u = (np.arange(1 << length)[:, None] >> np.arange(length - 1, -1, -1)) & 1 == 1
-    ok = u[~_dense_violations(rule, u, set(range(length)))]
-    return [Word(length, tuple(np.flatnonzero(row).tolist())) for row in ok]
+    return u[~_dense_violations(rule, u, set(range(length)))]
+
+
+def enumerate_admissible_words(
+    rule: ShiftRule, length: int, cap: int = DEFAULT_WORD_CAP
+) -> list[Word]:
+    """All admissible words of the given length, lexicographic (0 < 1)."""
+    rows = admissible_rows(rule, length, cap)
+    return [Word(length, tuple(np.flatnonzero(row).tolist())) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,35 @@ def test_point_cache_round_trip(tmp_path, capsys):
     assert first == second
 
 
+CACHED_DIAGNOSE = [
+    "diagnose", "--rule", "spacing(dyadic())", "--family", "nabla(thick(2))",
+    "--point", "greedy", "--pointlen", "3", "--spacer-max", "4096",
+    "--wordlen", "1", "--horizon", "30",
+]
+
+
+def test_warm_point_cache_builds_no_point(tmp_path, capsys, monkeypatch):
+    import shiftlab.cli as cli
+
+    built = []
+    build = cli.build_transitive_point
+    monkeypatch.setattr(cli, "build_transitive_point", lambda *a: built.append(a) or build(*a))
+    outs = {run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path))[1] for _ in range(3)}
+    assert len(built) == 1
+    assert len(outs) == 1
+
+
+def test_point_cache_reads_indented_entries(tmp_path, capsys):
+    # entries written before the compact form was adopted are still hits
+    _, cold, _ = run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.glob("point-*.json")
+    old = json.dumps(json.loads(entry.read_text()), sort_keys=True, indent=2)
+    entry.write_text(old)
+    status, out, err = run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path))
+    assert (status, out, err) == (0, cold, "")
+    assert entry.read_text() == old
+
+
 def test_point_cache_survives_bad_file(tmp_path, capsys):
     argv = [
         "diagnose", "--rule", "spacing(dyadic())", "--family", "nabla(thick(2))",

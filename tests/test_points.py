@@ -204,7 +204,7 @@ def test_greedy_covers_all_admissible_words():
 def test_greedy_prefix_is_admissible():
     for rule in (evens_rule(), dyadic_rule(), TripleRatio(3), shift1_rule()):
         p = build_transitive_point(rule, 4, 4096)
-        assert is_admissible(rule, p.word)
+        assert is_admissible(rule, Word.from_string(p.prefix_string()))
 
 
 @pytest.mark.parametrize(
@@ -329,6 +329,15 @@ def test_periodic_ray_with_ones():
     assert all(n % 2 == 0 for n in s)
 
 
+def test_prefix_string_spells_the_bits():
+    for p in (
+        champernowne(4),
+        build_transitive_point(TripleRatio(3), 4, 64),
+        periodic_point(FullShift(), Word.from_string("0110"), 50),
+    ):
+        assert p.prefix_string() == "".join("1" if b else "0" for b in p.bits)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -369,6 +378,23 @@ def test_decode_rejects_corrupt_payload():
     del missing["rule"]
     with pytest.raises(ConfigError):
         decode_point(missing)
+
+
+@pytest.mark.parametrize(
+    "rle, length",
+    [
+        (5, 10),  # 0-d
+        ([[1, 2]], 3),  # 2-D
+        ([1, 2**63], 10),  # past int64
+        ([11], 10),  # a run longer than the prefix
+        ([-1, 11], 10),  # a negative run
+        ([2**62] * 5, 2**62),  # an int64 sum that wraps round to the length
+    ],
+)
+def test_decode_rejects_bad_run_arrays(rle, length):
+    payload = dict(encode_point(champernowne(2)), rle=rle, length=length)
+    with pytest.raises(ConfigError):
+        decode_point(payload)
 
 
 def test_decode_reverifies_admissibility():

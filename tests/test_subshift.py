@@ -34,6 +34,7 @@ from shiftlab.intset import (
     WindowedSet,
     materialize,
 )
+from shiftlab.points import _word_table
 from shiftlab.subshift import (
     Cylinder,
     FullShift,
@@ -496,6 +497,15 @@ def test_enumerate_agrees_with_admissibility_filter(name, length):
         if oracle_word_admissible(name, [i for i, b in enumerate(bits) if b == "1"])
     ]
     assert got == sorted(expect)
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_word_table_reads_the_enumerations_rows(name):
+    # the greedy build's word table: texts and 1s per word, in build order
+    rule = RULES[name]
+    table = [(text, tuple(ones.tolist())) for text, ones in _word_table(rule, 8)]
+    expect = [(str(w), w.ones) for n in range(1, 9) for w in enumerate_admissible_words(rule, n)]
+    assert table == expect
 
 
 # ---------------------------------------------------------------------------
