@@ -98,6 +98,64 @@ def test_thick_mode_zero_is_a_config_error_like_the_family(capsys):
     assert family == (2, "", err)
 
 
+NINES = "9" * 5000  # past int()'s 4,300-digit string conversion limit
+CHECK_SMALL = ["--wordlen", "1", "--horizon", "8"]
+DEEP_NABLA = "nabla(" * 3000 + "thick(2)" + ")" * 3000
+BOUNDARY_ARGV = {
+    "deep-nabla": [
+        "diagnose", "--rule", "full()", "--point", "champernowne", "--pointlen", "3",
+        "--horizon", "8", "--family", DEEP_NABLA,
+    ],
+    "long-ratio": ["check", "--rule", f"tripleratio({NINES})", *CHECK_SMALL],
+    "long-step": ["check", "--rule", f"spacing(ap(1,{NINES}))", *CHECK_SMALL],
+    "long-mode": ["check", "--rule", "full()", "--mode", f"thick({NINES})", *CHECK_SMALL],
+    "ratio-1e20": [
+        "check", "--rule", "tripleratio(100000000000000000000)", "--wordlen", "3",
+        "--horizon", "8",
+    ],
+    "ratio-2^62": [
+        "diagnose", "--rule", "tripleratio(4611686018427387904)", "--family", "thick(2)",
+        "--pointlen", "3", "--wordlen", "1", "--horizon", "20",
+    ],
+    "ratio-past-bound": [
+        "check", "--rule", f"tripleratio({2**29 + 2})", "--wordlen", "3", "--horizon", "8",
+    ],
+    "plus-sign": [
+        "diagnose", "--rule", "full()", "--point", "champernowne", "--pointlen", "3",
+        "--horizon", "8", "--family", "thick(+5)",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDARY_ARGV.values(), ids=BOUNDARY_ARGV)
+def test_literal_boundary_exits_2_with_one_line(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_tripleratio_at_the_bound_runs(capsys):
+    # p - 1 = 2^29: a greedy point and a sweep whose triple law can reach past int32
+    status, out, err = run(
+        capsys, "diagnose", "--rule", f"tripleratio({2**29 + 1})", "--family", "thick(2)",
+        "--pointlen", "3", "--wordlen", "1", "--horizon", "20",
+    )
+    assert (status, err) == (0, "")
+    status, out, err = run(
+        capsys, "check", "--rule", f"tripleratio({2**29 + 1})", "--wordlen", "3",
+        "--horizon", "8",
+    )
+    assert (status, err) == (0, "")
+    assert json.loads(out)["tuples_checked"] > 0
+
+
+def test_thick_mode_reads_like_every_literal(capsys):
+    spaced = run(capsys, "check", "--rule", "full()", "--mode", "thick( 2 )", *CHECK_SMALL)
+    plain = run(capsys, "check", "--rule", "full()", "--mode", "thick(2)", *CHECK_SMALL)
+    assert spaced[0] == plain[0] == 0
+    assert spaced[1] == plain[1].replace('"thick(2)"', '"thick( 2 )"')
+
+
 def test_parser_built_once_without_shared_state(capsys, monkeypatch):
     from shiftlab import cli
 
@@ -396,6 +454,17 @@ def test_point_cache_reads_indented_entries(tmp_path, capsys):
     assert entry.read_text() == old
 
 
+def test_point_cache_skips_entries_longer_than_a_build(tmp_path, capsys):
+    # length and runs agree, but no cold build at --pointlen 3 reaches 2^62 bits
+    _, cold, _ = run(capsys, *CACHED_DIAGNOSE)
+    run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.glob("point-*.json")
+    whole = entry.read_text()
+    entry.write_text(json.dumps({**json.loads(whole), "length": 2**62, "rle": [2**62]}))
+    assert run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path)) == (0, cold, "")
+    assert entry.read_text() == whole
+
+
 def test_point_cache_survives_bad_file(tmp_path, capsys):
     argv = [
         "diagnose", "--rule", "spacing(dyadic())", "--family", "nabla(thick(2))",
@@ -421,7 +490,14 @@ def test_point_cache_survives_bad_file(tmp_path, capsys):
 # argv fuzz: any argv from the grammar exits 0, 1 or 2 and never raises
 
 GOOD_RULES = ["full()", "spacing(dyadic())", "spacing(evens())", "tripleratio(3)"]
-BAD_RULES = ["spacing(", "nope()", "tripleratio(1)", "spacing(diff(ap(1,3)))", ""]
+BAD_RULES = [
+    "spacing(", "nope()", "tripleratio(1)", "spacing(diff(ap(1,3)))", "",
+    "spacing(" + "union(" * 3000 + "nat()" + ")" * 3001,
+    f"tripleratio({NINES})",
+    f"spacing(ap(1,{NINES}))",
+    "tripleratio(100000000000000000000)",
+    "tripleratio(4611686018427387904)",
+]
 rules = st.sampled_from(GOOD_RULES * 2 + BAD_RULES)
 vectors = st.sampled_from(["", "0", "0,1", "1,1", "1,2", "2,3", "x"])
 horizons = st.integers(-1, 64).map(lambda h: ("--horizon", str(h)))
@@ -447,7 +523,10 @@ check_argv = _argv(
     st.sampled_from([(), ("--delta",)]),
     _opt(
         "--mode",
-        st.sampled_from(["plain", "thick(2)", "thick(0)", "thick(1000)", "cofinite_from", "never"]),
+        st.sampled_from([
+            "plain", "thick(2)", "thick(0)", "thick(1000)", "cofinite_from", "never",
+            "thick(" * 3000 + "2" + ")" * 3000, f"thick({NINES})",
+        ]),
     ),
     horizons,
     *[_opt(*s) for s in sizes],
@@ -455,7 +534,10 @@ check_argv = _argv(
 diagnose_argv = _argv(
     "diagnose",
     rules.map(lambda r: ("--rule", r)),
-    st.sampled_from(["nabla(thick(2))", "fsa(1,2;2,1)", "fa(1,2;3,20)", "sometimes(3)"])
+    st.sampled_from([
+        "nabla(thick(2))", "fsa(1,2;2,1)", "fa(1,2;3,20)", "sometimes(3)", DEEP_NABLA,
+        f"thick({NINES})", f"fa(1,2;2,{NINES})",
+    ])
     .map(lambda f: ("--family", f)),
     _opt("--point", points),
     _opt("--pointlen", st.sampled_from(["1", "2", "3"])),

@@ -1,6 +1,7 @@
 """Family verdict tests: three-valued semantics, certificates, grids."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -510,3 +511,45 @@ def test_parse_family_rejects_garbage():
     for text in bad:
         with pytest.raises(ConfigError):
             parse_family_spec(text)
+
+
+def test_family_integers_are_plain_tokens():
+    # int() took a sign and digit separators; the call grammar takes -?digits
+    for text in ("thick(+5)", "thick(1_0)", "fa(1,+2;3,4)"):
+        with pytest.raises(ConfigError):
+            parse_family_spec(text)
+    assert parse_family_spec("thick(\n10 )") == FamilyQuery("plain", spec=FamilySpec("thick", 10))
+
+
+plain_queries = st.builds(
+    lambda kind, p: FamilyQuery("plain", spec=FamilySpec(kind, p)),
+    st.sampled_from(["thick", "syndetic", "cofinite"]), st.integers(1, 10**6),
+)
+vectors = st.lists(st.integers(-5, 20), min_size=1, max_size=5).map(tuple)
+bounds = st.integers(0, 10**4)
+family_queries = st.one_of(
+    plain_queries,
+    plain_queries.map(lambda q: FamilyQuery("nabla", spec=q.spec)),
+    st.builds(
+        lambda v, n, k: FamilyQuery("fa", vector=v, grid=GridParams(nmax=n, kmax=k)),
+        vectors, bounds, bounds,
+    ),
+    st.builds(
+        lambda v, n, g: FamilyQuery("fsa", vector=v, grid=GridParams(nmax=n, kmax=0, g=g)),
+        vectors, bounds, st.integers(1, 100),
+    ),
+    st.builds(
+        lambda m, n, k: FamilyQuery("finfty", m_max=m, grid=GridParams(nmax=n, kmax=k)),
+        st.integers(1, 8), bounds, bounds,
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(family_queries, st.lists(st.sampled_from(["", " ", "\t", "\n"]), min_size=1))
+def test_random_family_queries_round_trip(query, gaps):
+    text = query.literal()
+    assert parse_family_spec(text) == query
+    # whitespace between any two tokens; an integer's digits and sign stay together
+    pieces = [t for t in re.split(r"(-?\d+|[(),;])", text) if t]
+    assert parse_family_spec("".join(g + t for g, t in zip(gaps * len(pieces), pieces))) == query

@@ -1,3 +1,5 @@
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.errors import CapExceeded, ConfigError
+from shiftlab.errors import CapExceeded, ConfigError, ShiftLabError
+from shiftlab.families import parse_family_spec
 from shiftlab.intset import (
     _DIFFERENCE_COST_CAP,
     _FFT_ERROR_LIMIT,
@@ -32,6 +35,7 @@ from shiftlab.intset import (
     materialize,
     parse_set_rule,
 )
+from shiftlab.subshift import parse_shift_rule
 
 
 def ws(members, horizon, complete=True):
@@ -471,6 +475,80 @@ def test_literals_round_trip():
         if text == "evens()":
             continue  # sugar normalizes to ap(2,2)
         assert parse_set_rule(rule.literal()) == rule
+
+
+def spaced(text, gaps):
+    """``text`` with gaps[i] before its i-th token; integers stay one token."""
+    tokens = re.findall(r"[a-z]+|-?\d+|[(),;]", text)
+    return "".join(g + t for g, t in zip(itertools.cycle(gaps), tokens + [""]))
+
+
+whitespace = st.lists(st.sampled_from(["", " ", "  ", "\t", "\n "]), min_size=1)
+
+leaf_calls = st.one_of(
+    st.builds(
+        lambda a, w: (f"range({a},{a + w})", Range(a, a + w)),
+        st.integers(1, 30), st.integers(0, 30),
+    ),
+    st.builds(
+        lambda a, d: (f"ap({a},{d})", ArithmeticProgression(a, d)),
+        st.integers(1, 10), st.integers(1, 8),
+    ),
+    st.just(("dyadic()", DyadicBlocks())),
+    st.just(("nat()", Naturals())),
+    st.just(("evens()", ArithmeticProgression(2, 2))),
+    st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True).map(
+        lambda vs: (f"explicit({','.join(map(str, sorted(vs)))})", Explicit(tuple(sorted(vs))))
+    ),
+)
+
+
+def rule_calls(depth=4):
+    """(literal, rule) over all ten set-rule names, nested at most ``depth`` deep."""
+    if depth == 1:
+        return leaf_calls
+    sub = rule_calls(depth - 1)
+    some = st.lists(sub, min_size=1, max_size=3)
+
+    def joined(name, cls):
+        return lambda cs: (f"{name}({','.join(t for t, _ in cs)})", cls(tuple(r for _, r in cs)))
+
+    return st.one_of(
+        leaf_calls,
+        some.map(joined("union", Union)),
+        some.map(joined("inter", Intersection)),
+        st.builds(lambda c, n: (f"shift({c[0]},{n})", Translate(c[1], n)), sub, st.integers(-10, 10)),
+        sub.map(lambda c: (f"diff({c[0]})", DifferenceOf(c[1]))),
+    )
+
+
+@settings(max_examples=200)
+@given(rule_calls(), whitespace)
+def test_random_rule_literals_round_trip(call, gaps):
+    text, rule = call
+    assert parse_set_rule(text) == rule
+    assert parse_set_rule(rule.literal()) == rule
+    assert parse_set_rule(spaced(rule.literal(), gaps)) == rule
+
+
+LITERAL_NAMES = [
+    "range", "ap", "dyadic", "nat", "evens", "explicit", "union", "inter", "shift", "diff",
+    "full", "spacing", "tripleratio", "thick", "syndetic", "cofinite", "nabla", "fa", "fsa",
+    "finfty",
+]
+literal_noise = st.lists(
+    st.sampled_from(LITERAL_NAMES + list("0123456789(),;-+_ ")), max_size=30
+).map("".join)
+
+
+@pytest.mark.parametrize("parse", [parse_set_rule, parse_shift_rule, parse_family_spec])
+@settings(max_examples=300)
+@given(text=literal_noise)
+def test_any_text_parses_or_raises_a_package_error(parse, text):
+    try:
+        parse(text)
+    except ShiftLabError:
+        pass
 
 
 # ---------------------------------------------------------------------------
