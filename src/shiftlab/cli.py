@@ -190,17 +190,21 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
         digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
         cache_path = Path(config.cache_dir) / f"point-{digest}.json"
         try:
-            point = decode_point(json.loads(cache_path.read_text()))
-        except (FileNotFoundError, ValueError, ConfigError):
-            # a missing, truncated or corrupt entry is a miss: rebuild it
-            point = None
-        if (
-            point is not None
-            and point.rule_literal == rule.literal()
-            and point.scale == config.pointlen
-            and point.g_max == config.spacer_max
-        ):
-            return point
+            payload = json.loads(cache_path.read_text())
+            # a cold build places at most 2^n words of each length n <= l,
+            # each after a spacer <= g_max, so no entry it wrote is longer
+            fits = (payload["rule"], payload["scale"], payload["g_max"]) == (
+                rule.literal(), config.pointlen, config.spacer_max
+            ) and payload["length"] <= (config.spacer_max + config.pointlen) << (
+                config.pointlen + 1
+            )
+        except (FileNotFoundError, KeyError, TypeError, ValueError):
+            fits = False  # a missing, truncated or foreign entry is a miss: rebuild it
+        if fits:
+            try:
+                return decode_point(payload)
+            except ConfigError:
+                pass  # and so is a corrupt one
     point = build_transitive_point(rule, config.pointlen, config.spacer_max)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,7 +31,7 @@ from .families import (
     finfty_grid_report,
     nabla_report,
 )
-from .intset import WindowedSet, cross_differences
+from .intset import CallKind, WindowedSet, cross_differences
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     DEFAULT_WORD_CAP,
@@ -51,7 +50,7 @@ from .subshift import (
 
 FAILS_ON_WINDOW = "FailsOnWindow"
 
-_MODE = re.compile(r"plain|thick\((\d+)\)|cofinite_from")
+_MODES = CallKind("mode", {"thick": ("i", lambda run: run)})
 
 
 @dataclass(frozen=True)
@@ -223,11 +222,8 @@ def check_transitive(
     (window evidence for weak mixing); cofinite_from reports the least N0
     with [N0, H] fully inside (window evidence for strong mixing).
     """
-    m = _MODE.fullmatch(mode)
-    if not m:
-        raise ConfigError(f"unknown mode {mode!r}")
-    run = int(m.group(1)) if m.group(1) else None
-    if run == 0:
+    run = None if mode in ("plain", "cofinite_from") else _MODES.parse(mode)
+    if run is not None and run < 1:
         raise ConfigError("thick parameter must be >= 1")
     cylinders = sweep_cylinders(rule, length)
     tuples = _index_tuples(len(cylinders), 2)

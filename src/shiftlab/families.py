@@ -32,7 +32,6 @@ has its double in the set).
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,6 +39,7 @@ import numpy as np
 
 from .errors import CapExceeded, ConfigError, HorizonExhausted, PreconditionError
 from .intset import (
+    CallKind,
     CongruenceStructure,
     SetRule,
     WindowedSet,
@@ -556,61 +556,29 @@ class FamilyQuery:
         return f"finfty({self.m_max};{self.grid.nmax},{self.grid.kmax})"
 
 
-_FORM = re.compile(r"\s*([a-z]+)\s*\((.*)\)\s*$", re.DOTALL)
+def _nabla(query: FamilyQuery) -> FamilyQuery:
+    if query.kind != "plain":
+        raise ConfigError("nabla(...) takes a plain family")
+    return FamilyQuery("nabla", spec=query.spec)
 
 
-def _ints(text: str, what: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ConfigError(f"bad {what}: {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {text!r}") from exc
+def _plain(kind: str) -> Callable[[int], FamilyQuery]:
+    return lambda param: FamilyQuery("plain", spec=FamilySpec(kind, param))
+
+
+_FAMILIES = CallKind("family", {
+    **{kind: ("i", _plain(kind)) for kind in ("thick", "syndetic", "cofinite")},
+    "nabla": ("c", _nabla),
+    "fa": ("i+;ii", lambda *a: FamilyQuery(
+        "fa", vector=a[:-2], grid=GridParams(nmax=a[-2], kmax=a[-1]))),
+    "fsa": ("i+;ii", lambda *a: FamilyQuery(
+        "fsa", vector=a[:-2], grid=GridParams(nmax=a[-2], kmax=0, g=a[-1]))),
+    "finfty": ("i;ii", lambda m, nmax, kmax: FamilyQuery(
+        "finfty", m_max=m, grid=GridParams(nmax=nmax, kmax=kmax))),
+})
 
 
 def parse_family_spec(text: str) -> FamilyQuery:
     """thick(L) | syndetic(g) | cofinite(N0) | nabla(<plain>) |
     fa(a1,..;Nmax,Kmax) | fsa(a1,..;Nmax,g) | finfty(m;Nmax,Kmax)."""
-    m = _FORM.fullmatch(text)
-    if not m:
-        raise ConfigError(f"bad family expression {text!r}")
-    name, inner = m.group(1), m.group(2).strip()
-    if name in ("thick", "syndetic", "cofinite"):
-        params = _ints(inner, "family parameter")
-        if len(params) != 1:
-            raise ConfigError(f"{name}(...) takes one parameter")
-        return FamilyQuery("plain", spec=FamilySpec(name, params[0]))
-    if name == "nabla":
-        sub = parse_family_spec(inner)
-        if sub.kind != "plain":
-            raise ConfigError("nabla(...) takes a plain family")
-        return FamilyQuery("nabla", spec=sub.spec)
-    if name in ("fa", "fsa", "finfty"):
-        if ";" not in inner:
-            raise ConfigError(f"{name}(...) needs ';' separating grid bounds")
-        head, tail = inner.split(";", 1)
-        bounds = _ints(tail, "grid bounds")
-        if len(bounds) != 2:
-            raise ConfigError(f"{name}(...) needs two grid bounds")
-        if name == "fa":
-            vector = _ints(head, "vector")
-            return FamilyQuery(
-                "fa", vector=vector, grid=GridParams(nmax=bounds[0], kmax=bounds[1])
-            )
-        if name == "fsa":
-            vector = _ints(head, "vector")
-            return FamilyQuery(
-                "fsa",
-                vector=vector,
-                grid=GridParams(nmax=bounds[0], kmax=0, g=bounds[1]),
-            )
-        head_ints = _ints(head, "level bound")
-        if len(head_ints) != 1:
-            raise ConfigError("finfty(...) takes one level bound")
-        return FamilyQuery(
-            "finfty",
-            m_max=head_ints[0],
-            grid=GridParams(nmax=bounds[0], kmax=bounds[1]),
-        )
-    raise ConfigError(f"unknown family {name!r}")
+    return _FAMILIES.parse(text)

@@ -579,124 +579,101 @@ def congruence_structures(
 
 
 # ---------------------------------------------------------------------------
-# rule grammar
+# call literals
 #
-#   range(a,b) ap(a,d) dyadic() nat() evens() explicit(n1,...)
-#   union(r1,...) inter(r1,...) shift(r,n) diff(r)
-#
-# Whitespace-insensitive; integers may be negative only where an offset is
-# expected (shift).
+# Every literal is a call, name(arg, ...; arg, ...): an argument is an
+# integer -?digits or a nested call, ',' separates arguments and ';' groups
+# them; whitespace is ignored.  One cap bounds the nesting: a set rule of
+# MAX_RULE_DEPTH levels plus the spacing(...) or nabla(...) around it.
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>-?\d+)|(?P<punct>[(),]))")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        if self.pos >= len(self.text):
-            return None
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None or not m.group().strip():
-            raise ConfigError(f"bad character at position {self.pos} in {self.text!r}")
-        kind = m.lastgroup or ""
-        return kind, m.group(kind)
-
-    def next(self) -> tuple[str, str]:
-        got = self.peek()
-        if got is None:
-            raise ConfigError(f"unexpected end of input in {self.text!r}")
-        m = _TOKEN.match(self.text, self.pos)
-        assert m is not None
-        self.pos = m.end()
-        return got
-
-    def expect(self, value: str) -> None:
-        kind, tok = self.next()
-        if tok != value:
-            raise ConfigError(
-                f"expected {value!r} at position {self.pos} in {self.text!r}, got {tok!r}"
-            )
-
-    def done(self) -> bool:
-        if self.pos >= len(self.text):
-            return True
-        return self.text[self.pos :].strip() == ""
+_TOKEN = re.compile(r"[a-z]+|-?\d+|\S")
 
 
-def _parse_int(toks: _Tokens) -> int:
-    kind, tok = toks.next()
-    if kind != "int":
-        raise ConfigError(f"expected integer in {toks.text!r}, got {tok!r}")
-    return int(tok)
+def parse_call(text: str) -> tuple:
+    """The call ``text`` spells, as (name, args, signature); nested calls are args.
+
+    The signature has 'i' per integer, 'c' per nested call and ';' between groups.
+    """
+    tokens = _TOKEN.findall(text) + [""]
+    call, end = _call(tokens, 0, 1, text)
+    if tokens[end]:
+        raise ConfigError(f"trailing input {tokens[end]!r} in {text!r}")
+    return call
 
 
-def _parse_rule(toks: _Tokens, depth: int) -> SetRule:
-    if depth > MAX_RULE_DEPTH:
-        raise CapExceeded(f"rule nesting exceeds {MAX_RULE_DEPTH}")
-    kind, name = toks.next()
-    if kind != "name":
-        raise ConfigError(f"expected rule name in {toks.text!r}, got {name!r}")
-    toks.expect("(")
-    if name == "range":
-        lo = _parse_int(toks)
-        toks.expect(",")
-        hi = _parse_int(toks)
-        toks.expect(")")
-        return Range(lo, hi)
-    if name == "ap":
-        first = _parse_int(toks)
-        toks.expect(",")
-        step = _parse_int(toks)
-        toks.expect(")")
-        return ArithmeticProgression(first, step)
-    if name == "dyadic":
-        toks.expect(")")
-        return DyadicBlocks()
-    if name == "nat":
-        toks.expect(")")
-        return Naturals()
-    if name == "evens":
-        toks.expect(")")
-        return ArithmeticProgression(2, 2)
-    if name == "explicit":
-        vals = [_parse_int(toks)]
-        while True:
-            kind, tok = toks.next()
-            if tok == ")":
-                break
-            if tok != ",":
-                raise ConfigError(f"expected ',' or ')' in {toks.text!r}")
-            vals.append(_parse_int(toks))
-        return Explicit(tuple(vals))
-    if name in ("union", "inter"):
-        rules = [_parse_rule(toks, depth + 1)]
-        while True:
-            kind, tok = toks.next()
-            if tok == ")":
-                break
-            if tok != ",":
-                raise ConfigError(f"expected ',' or ')' in {toks.text!r}")
-            rules.append(_parse_rule(toks, depth + 1))
-        return Union(tuple(rules)) if name == "union" else Intersection(tuple(rules))
-    if name == "shift":
-        inner = _parse_rule(toks, depth + 1)
-        toks.expect(",")
-        off = _parse_int(toks)
-        toks.expect(")")
-        return Translate(inner, off)
-    if name == "diff":
-        inner = _parse_rule(toks, depth + 1)
-        toks.expect(")")
-        return DifferenceOf(inner)
-    raise ConfigError(f"unknown set rule {name!r}")
+def _call(tokens: list[str], at: int, depth: int, text: str) -> tuple[tuple, int]:
+    if depth > MAX_RULE_DEPTH + 1:
+        raise CapExceeded(f"literal nesting exceeds {MAX_RULE_DEPTH + 1}")
+    name = tokens[at]
+    if not name.isalpha() or tokens[at + 1] != "(":
+        raise ConfigError(f"expected name(...) at {name!r} in {text!r}")
+    args, signature, at = [], "", at + 2
+    if tokens[at] == ")":
+        return (name, (), ""), at + 1
+    while True:
+        if tokens[at].isalpha():
+            arg, at = _call(tokens, at, depth + 1, text)
+        else:
+            try:  # the one integer conversion
+                arg = int(tokens[at])
+            except ValueError:  # a stray character, the end, or digits past int()'s limit
+                tok = tokens[at]
+                what = f"an integer of {len(tok)} digits" if len(tok) > 1 else repr(tok)
+                raise ConfigError(f"bad argument in {name}(...): {what}") from None
+            at += 1
+        args.append(arg)
+        signature += "i" if isinstance(arg, int) else "c"
+        sep, at = tokens[at], at + 1
+        if sep == ")":
+            return (name, tuple(args), signature), at
+        if sep == ";":
+            signature += ";"
+        elif sep != ",":
+            raise ConfigError(f"expected ',', ';' or ')' in {name}(...), got {sep!r}")
+
+
+class CallKind:
+    """The literals of one kind: name -> (argument pattern, constructor).
+
+    A pattern is a regex over the call's signature.  Nested calls are built
+    as ``inner`` (this kind by default) and passed, with the integers, as
+    positional arguments of the constructor.
+    """
+
+    def __init__(
+        self, what: str, table: dict[str, tuple[str, Callable]], inner: "CallKind | None" = None
+    ):
+        self.what, self.inner = what, inner or self
+        self.table = {name: (re.compile(p), make) for name, (p, make) in table.items()}
+
+    def build(self, call: tuple):
+        name, args, signature = call
+        if name not in self.table:
+            raise ConfigError(f"unknown {self.what} {name!r}")
+        pattern, make = self.table[name]
+        if not pattern.fullmatch(signature):
+            raise ConfigError(f"bad arguments to {name}(...): want {pattern.pattern!r}")
+        return make(*(a if isinstance(a, int) else self.inner.build(a) for a in args))
+
+    def parse(self, text: str):
+        return self.build(parse_call(text))
+
+
+SET_RULES = CallKind("set rule", {
+    "range": ("ii", Range),
+    "ap": ("ii", ArithmeticProgression),
+    "dyadic": ("", DyadicBlocks),
+    "nat": ("", Naturals),
+    "evens": ("", lambda: ArithmeticProgression(2, 2)),
+    "explicit": ("i+", lambda *values: Explicit(values)),
+    "union": ("c+", lambda *rules: Union(rules)),
+    "inter": ("c+", lambda *rules: Intersection(rules)),
+    "shift": ("ci", Translate),
+    "diff": ("c", DifferenceOf),
+})
 
 
 def parse_set_rule(text: str) -> SetRule:
-    toks = _Tokens(text)
-    rule = _parse_rule(toks, 1)
-    if not toks.done():
-        raise ConfigError(f"trailing input at position {toks.pos} in {text!r}")
-    return rule
+    """range(a,b) ap(a,d) dyadic() nat() evens() explicit(n1,...)
+    union(r1,...) inter(r1,...) shift(r,n) diff(r)."""
+    return SET_RULES.parse(text)

@@ -28,7 +28,6 @@ once by slicing the rule's gap mask.  A single window is the batch of one.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -36,14 +35,19 @@ import numpy as np
 
 from .errors import CapExceeded, ConfigError, HorizonExhausted, PreconditionError
 from .intset import (
+    SET_RULES,
+    CallKind,
     SetRule,
     WindowedSet,
     doubling_free_certificate,
     materialize,
-    parse_set_rule,
 )
 
 DEFAULT_WORD_CAP = 12
+
+# Largest tripleratio(p) ratio p - 1.  Positions stay below 2^33 in anything
+# that fits in memory, so ratio * gap + position stays below 2^63 in int64.
+MAX_TRIPLE_RATIO = 1 << 29
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
@@ -183,6 +187,8 @@ class TripleRatio(ShiftRule):
     def __post_init__(self) -> None:
         if self.p <= 2:
             raise ConfigError("tripleratio(p) requires p > 2")
+        if self.p - 1 > MAX_TRIPLE_RATIO:
+            raise ConfigError(f"tripleratio(p) requires p - 1 <= {MAX_TRIPLE_RATIO}")
 
     @property
     def sidedness(self) -> str:
@@ -199,17 +205,16 @@ class TripleRatio(ShiftRule):
         return f"tripleratio({self.p})"
 
 
+_SHIFT_RULES = CallKind(
+    "shift rule",
+    {"full": ("", FullShift), "spacing": ("c", Spacing), "tripleratio": ("i", TripleRatio)},
+    inner=SET_RULES,
+)
+
+
 def parse_shift_rule(text: str) -> ShiftRule:
-    s = text.strip()
-    if re.fullmatch(r"full\s*\(\s*\)", s):
-        return FullShift()
-    m = re.fullmatch(r"spacing\s*\((.*)\)", s, re.DOTALL)
-    if m:
-        return Spacing(parse_set_rule(m.group(1)))
-    m = re.fullmatch(r"tripleratio\s*\(\s*(\d+)\s*\)", s)
-    if m:
-        return TripleRatio(int(m.group(1)))
-    raise ConfigError(f"unknown shift rule literal {text!r}")
+    """full() | spacing(<set rule>) | tripleratio(p)."""
+    return _SHIFT_RULES.parse(text)
 
 
 # ---------------------------------------------------------------------------

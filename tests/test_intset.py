@@ -528,7 +528,7 @@ def test_random_rule_literals_round_trip(call, gaps):
     text, rule = call
     assert parse_set_rule(text) == rule
     assert parse_set_rule(rule.literal()) == rule
-    assert parse_set_rule(spaced(rule.literal(), gaps)) == rule
+    assert parse_set_rule(spaced(text, gaps)) == rule
 
 
 LITERAL_NAMES = [
