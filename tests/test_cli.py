@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -441,6 +446,9 @@ def test_warm_point_cache_builds_no_point(tmp_path, capsys, monkeypatch):
     outs = {run(capsys, *CACHED_DIAGNOSE, "--cache-dir", str(tmp_path))[1] for _ in range(3)}
     assert len(built) == 1
     assert len(outs) == 1
+    # the entry keeps its name, so entries written by earlier versions still hit
+    key = hashlib.sha256(b"spacing(dyadic())|l3|g4096").hexdigest()[:16]
+    assert [p.name for p in tmp_path.iterdir()] == [f"point-{key}.json"]
 
 
 def test_point_cache_reads_indented_entries(tmp_path, capsys):
@@ -690,6 +698,27 @@ def test_nuv_word_length_zero_is_a_config_error(capsys):
     assert err == "error: word length must be >= 1\n"
 
 
+def test_golden_mismatch_prints_a_diff_and_exits_1(tmp_path, capsys, monkeypatch):
+    from shiftlab import cli
+
+    _, expected, _ = run(capsys, "reproduce", "fa-parity")
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, golden)
+    lines = (golden / "fa-parity.json").read_text().splitlines(keepends=True)
+    changed = next(i for i, line in enumerate(lines) if '"verdict"' in line)
+    lines[changed] = lines[changed].replace('"verdict"', '"verdikt"')
+    (golden / "fa-parity.json").write_text("".join(lines))
+    monkeypatch.setattr(cli, "GOLDEN_DIR", golden)
+    status, out, err = run(capsys, "reproduce", "fa-parity")
+    assert (status, out) == (1, expected)
+    diff = err.splitlines()
+    assert diff[:2] == ["--- golden", "+++ current"]
+    assert [d for d in diff if d[:1] in "+-" and d[:3] not in ("---", "+++")] == [
+        "-" + lines[changed].rstrip("\n"),
+        "+" + lines[changed].rstrip("\n").replace('"verdikt"', '"verdict"'),
+    ]
+
+
 def test_reproduce_unknown_preset(capsys):
     status, _, err = run(capsys, "reproduce", "no-such-preset")
     assert status == 2
@@ -746,3 +775,56 @@ def test_exit_statuses_are_exhaustive(capsys):
     )
     seen.add(run(capsys, "check", "--rule", "nope(")[0])
     assert seen == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args, address_space=None):
+    """``python *args`` with shiftlab on the path, under an address-space limit if given."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    limit = None
+    if address_space is not None:
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))  # noqa: E731
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, preexec_fn=limit,
+        timeout=300,
+    )
+
+
+def test_import_loads_no_record_generator_digest_or_diff():
+    # modules only the point cache or a golden mismatch needs stay unloaded at import
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import shiftlab.cli; "
+        "print(sorted({'dataclasses', 'hashlib', 'difflib'} & (set(sys.modules) - before)))"
+    )
+    child = run_python("-c", probe)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+HUGE_WINDOW_ARGV = {
+    "shift-1e10": ["check", "--rule", "spacing(shift(nat(),-10000000000))", *CHECK_SMALL],
+    "shift-1e20": [
+        "check", "--rule", "spacing(shift(nat(),-100000000000000000000))", *CHECK_SMALL,
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_WINDOW_ARGV.values(), ids=HUGE_WINDOW_ARGV)
+def test_huge_shift_exits_2_before_allocating(argv):
+    child = run_python("-m", "shiftlab.cli", *argv, address_space=2 << 30)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+
+
+def test_huge_kmax_is_sized_by_the_window():
+    argv = [
+        "diagnose", "--rule", "full()", "--point", "champernowne", "--pointlen", "3",
+        "--horizon", "8", "--family", "fa(1,2;2,1000000000000000000000000000000)",
+    ]
+    child = run_python("-m", "shiftlab.cli", *argv, address_space=2 << 30)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert json.loads(child.stdout)["config"]["family"] == argv[-1]

@@ -260,6 +260,16 @@ def test_fa_validation():
         GridParams(nmax=-1)
 
 
+def test_fa_tables_are_sized_by_the_window():
+    # no k past (h - 1) // max(a) lands in the window, so kmax beyond it allocates nothing
+    s = materialize(NATS_RULE, 50)
+    huge = fa_grid_report(s, (1, 2), GridParams(nmax=2, kmax=10**30))
+    assert huge == fa_grid_report(s, (1, 2), GridParams(nmax=2, kmax=24))
+    assert huge.verdict == WITNESSED
+    with pytest.raises(CapExceeded):
+        fa_grid_report(materialize(NATS_RULE, 10**4), (1,), GridParams(nmax=999, kmax=10**30))
+
+
 def test_fa_grid_monotone_in_kmax():
     s = materialize(DYADIC_RULE, 400)
     small = fa_grid_report(s, (3, 5), GridParams(nmax=0, kmax=10))
@@ -550,6 +560,7 @@ family_queries = st.one_of(
 def test_random_family_queries_round_trip(query, gaps):
     text = query.literal()
     assert parse_family_spec(text) == query
+    assert hash(parse_family_spec(text)) == hash(query)
     # whitespace between any two tokens; an integer's digits and sign stay together
     pieces = [t for t in re.split(r"(-?\d+|[(),;])", text) if t]
     assert parse_family_spec("".join(g + t for g, t in zip(gaps * len(pieces), pieces))) == query

@@ -527,6 +527,7 @@ def rule_calls(depth=4):
 def test_random_rule_literals_round_trip(call, gaps):
     text, rule = call
     assert parse_set_rule(text) == rule
+    assert hash(parse_set_rule(text)) == hash(rule)
     assert parse_set_rule(rule.literal()) == rule
     assert parse_set_rule(spaced(text, gaps)) == rule
 
