@@ -12,14 +12,11 @@ Exit status: 0 when the expectation matched (or no expectation given),
 from __future__ import annotations
 
 import argparse
-import difflib
-import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ShiftLabError
@@ -33,7 +30,7 @@ from .families import (
     fsa_grid_report,
     parse_family_spec,
 )
-from .intset import ArithmeticProgression, Naturals, materialize
+from .intset import ArithmeticProgression, Naturals, Record, materialize
 from .points import (
     GeneratedPoint,
     build_transitive_point,
@@ -61,8 +58,7 @@ SAMPLE_LIMIT = 16
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One resolved invocation; exactly one command is populated."""
 
     command: str
@@ -186,6 +182,7 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
         raise ShiftLabError(f"unknown point kind {kind!r}")
     cache_path = None
     if config.cache_dir:
+        import hashlib  # imported here, so runs without a cache never load it
         tag = f"{rule.literal()}|l{config.pointlen}|g{config.spacer_max}"
         digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
         cache_path = Path(config.cache_dir) / f"point-{digest}.json"
@@ -259,13 +256,9 @@ def _apply_grid_override(query: FamilyQuery, grid_text: str | None) -> FamilyQue
         parts = [int(p) for p in grid_text.split(",")]
     except ValueError:
         parts = []
-    if len(parts) == 2:
-        grid = GridParams(nmax=parts[0], kmax=parts[1])
-    elif len(parts) == 3:
-        grid = GridParams(nmax=parts[0], kmax=parts[1], g=parts[2])
-    else:
+    if len(parts) not in (2, 3):
         raise ShiftLabError(f"bad grid {grid_text!r}; want Nmax,Kmax[,g]")
-    return replace(query, grid=grid)
+    return FamilyQuery(query.kind, query.spec, query.vector, GridParams(*parts), query.m_max)
 
 
 def _run_diagnose(config: RunConfig) -> dict:
@@ -554,6 +547,7 @@ def _run_reproduce(config: RunConfig) -> tuple[dict, int]:
         )
     golden = golden_path.read_text()
     if golden != rendered:
+        import difflib  # imported here: only a golden mismatch needs it
         diff = "\n".join(
             difflib.unified_diff(
                 golden.splitlines(),
@@ -673,20 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "fmt": getattr(args, "fmt", "json"),
-        "timings": getattr(args, "timings", False),
-    }
-    for name in (
-        "rule", "vector", "delta", "mode", "wordlen", "horizon", "family", "grid",
-        "point", "pointlen", "spacer_max", "prop", "depth", "hcmp", "preset",
-        "preset_arg", "regen_golden", "expect", "threads", "cache_dir",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if getattr(args, "cylinders", None):
-        fields["cylinders"] = tuple(args.cylinders)
+    # every option's dest is a RunConfig field; an option left unset keeps its default
+    fields = {name: value for name, value in vars(args).items() if value is not None}
+    if "cylinders" in fields:
+        fields["cylinders"] = tuple(fields["cylinders"])
     return RunConfig(**fields)
 
 

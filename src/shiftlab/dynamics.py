@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .families import (
     finfty_grid_report,
     nabla_report,
 )
-from .intset import CallKind, WindowedSet, cross_differences
+from .intset import CallKind, Record, WindowedSet, cross_differences
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     DEFAULT_WORD_CAP,
@@ -53,8 +52,7 @@ FAILS_ON_WINDOW = "FailsOnWindow"
 _MODES = CallKind("mode", {"thick": ("i", lambda run: run)})
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(Record):
     """One enumerated tuple: its words, least witness (or None), extras."""
 
     words: tuple[str, ...]
@@ -94,15 +92,14 @@ class SweepOutcomes(Sequence):
         return tuple(self) == (tuple(other) if isinstance(other, SweepOutcomes) else other)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     rule: str
     operation: str
     params: dict
     verdict: str
     outcomes: Sequence[SweepOutcome]
     failing: tuple[str, ...] | None
-    stats: dict = field(default_factory=dict)
+    stats: dict | None = None
 
     def __post_init__(self) -> None:
         if self.verdict not in (WITNESSED, FAILS_ON_WINDOW, UNDETERMINED):
@@ -307,8 +304,7 @@ def check_delta_a_transitive(
 # verifiers
 
 
-@dataclass(frozen=True)
-class NuvReport:
+class NuvReport(Record):
     """Comparison of the hitting window with entering-time differences."""
 
     rule: str
@@ -416,15 +412,13 @@ def verify_nuv_pairs(
     return _nuv_reports(rule, point, words, batches, h, h_cmp)
 
 
-@dataclass(frozen=True)
-class OrbitOutcome:
+class OrbitOutcome(Record):
     words: tuple[str, ...]
     lhs: int | None
     rhs: int | None
 
 
-@dataclass(frozen=True)
-class OrbitClosureReport:
+class OrbitClosureReport(Record):
     rule: str
     a: tuple[int, ...]
     a_prime: tuple[int, ...]
@@ -507,8 +501,7 @@ def verify_delta_product(
 # point diagnostics
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(Record):
     rule: str
     query: str
     length: int

@@ -32,7 +32,6 @@ has its double in the set).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .errors import CapExceeded, ConfigError, HorizonExhausted, PreconditionErro
 from .intset import (
     CallKind,
     CongruenceStructure,
+    Record,
     SetRule,
     WindowedSet,
     congruence_structures,
@@ -62,8 +62,7 @@ REFUTED_ON_WINDOW = "refuted-on-window"
 DEFAULT_CELL_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """thick(L) / syndetic(g) / cofinite(N0)."""
 
     kind: str
@@ -79,8 +78,7 @@ class FamilySpec:
         return f"{self.kind}({self.param})"
 
 
-@dataclass(frozen=True)
-class GridParams:
+class GridParams(Record):
     """Truncation bounds for the (n, k) quantifiers of the vector families.
 
     The vector length is taken from the vector itself; offsets n_i range
@@ -100,8 +98,7 @@ class GridParams:
             raise ConfigError("syndetic bound must be >= 1")
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(Record):
     verdict: str
     witness: dict | None
     horizon_used: int
@@ -358,12 +355,17 @@ def fa_grid_report(
     if grid.kmax < 1:
         raise ConfigError("kmax must be >= 1 for the k search")
     h, mask, span = s.horizon, s.mask, grid.nmax + 1
+    # k*max(a) + n stays in the window only for k <= (h - 1) // max(a), so no
+    # cell is known at any k past that: the tables stop there
+    rows = min(grid.kmax, (h - 1) // max(a))
+    if rows * span > grid.cell_cap:
+        raise CapExceeded(f"k tables of {rows} x {span} entries exceed cap {grid.cell_cap}")
     ok_tables, known_tables = [], []
     for ai in a:
-        ok = np.zeros((grid.kmax, span), dtype=bool)
-        known = np.zeros((grid.kmax, span), dtype=bool)
+        ok = np.zeros((rows, span), dtype=bool)
+        known = np.zeros((rows, span), dtype=bool)
         for v in range(span):
-            k_hi = min(grid.kmax, (h - 1 - v) // ai)
+            k_hi = min(rows, (h - 1 - v) // ai)
             if k_hi >= 1:
                 ok[:k_hi, v] = mask[ai + v : ai * k_hi + v + 1 : ai]
                 known[:k_hi, v] = True
@@ -371,15 +373,16 @@ def fa_grid_report(
         known_tables.append(known)
 
     def probe(cell: tuple[int, ...]) -> tuple[int | None, dict | None, bool]:
-        ok = np.ones(grid.kmax, dtype=bool)
-        known = np.ones(grid.kmax, dtype=bool)
+        ok = np.ones(rows, dtype=bool)
+        known = np.ones(rows, dtype=bool)
         for i, v in enumerate(cell):
             ok &= ok_tables[i][:, v]
             known &= known_tables[i][:, v]
         hit = np.flatnonzero(ok & known)
         if hit.size:
             return int(hit[0]) + 1, None, False
-        return None, {"reason": "no-witness" if bool(known.all()) else "horizon-limited"}, True
+        complete = rows == grid.kmax and bool(known.all())
+        return None, {"reason": "no-witness" if complete else "horizon-limited"}, True
 
     report, witnesses = _grid_scan(s, a, grid, rule, probe)
     if report is not None:
@@ -532,8 +535,7 @@ def finfty_grid_report(
 # textual forms
 
 
-@dataclass(frozen=True)
-class FamilyQuery:
+class FamilyQuery(Record):
     """Parsed CLI family expression; kind selects the procedure."""
 
     kind: str  # plain | nabla | fa | fsa | finfty

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -27,6 +26,10 @@ from .errors import CapExceeded, ConfigError
 
 # Maximum nesting depth for composite set rules.
 MAX_RULE_DEPTH = 16
+
+# A negative shift(r, n) evaluates r on a window |n| longer than its own;
+# offsets below -MAX_SHIFT are refused before that window is allocated.
+MAX_SHIFT = 1 << 20
 
 # Subtrahend members * minuend horizon guard, checked before the difference
 # kernel transforms anything.  Under it the kernel's error bound stays below
@@ -39,6 +42,61 @@ DEFAULT_MODULI = (2, 3, 4, 5, 6, 8, 12)
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """An immutable value whose fields are its class annotations, in order.
+
+    A class attribute is the field's default, and subclasses extend the
+    fields of their bases.  Fields are passed by position or by name;
+    ``__post_init__`` then validates them.  Equality and hash are those of
+    the class and the field values, and assignment raises AttributeError.
+    Instances keep a ``__dict__``, where derived values are cached.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, values = self._fields, self.__dict__
+        if len(args) > len(names) or kwargs and not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        values.update(zip(names, args), **kwargs)
+        for name in names[len(args):]:
+            if name not in values:
+                if not hasattr(type(self), name):
+                    raise TypeError(f"{type(self).__name__} needs the field {name}")
+                values[name] = getattr(type(self), name)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # windowed sets
 
 
@@ -48,18 +106,19 @@ def first_member(mask: np.ndarray) -> int | None:
     return hit if mask[hit] else None
 
 
-@dataclass(frozen=True, eq=False)
-class WindowedSet:
+class WindowedSet(Record):
     """A finite window onto a subset of the naturals.
 
     ``mask[n]`` says whether n is a member, for n in ``[0, horizon)``; the
     horizon is the mask's length.  ``complete`` records whether the mask is
     exhaustive on the window; difference sets only promise soundness (every
-    member genuine).  Build windows with :meth:`from_mask`.
+    member genuine).  Build windows with :meth:`from_mask`.  Windows compare
+    by identity.
     """
 
     mask: np.ndarray
     complete: bool = True
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self) -> None:
         if self.mask.size < 1:
@@ -102,10 +161,10 @@ class WindowedSet:
 # set rules
 
 
-class SetRule:
+class SetRule(Record):
     """Algebraic description of an infinite subset of the naturals.
 
-    Subclasses are frozen dataclasses; :func:`materialize` evaluates them
+    Subclasses are records; :func:`materialize` evaluates them
     exactly on a window.  ``preserves_completeness`` is False for rules whose
     window value is only a sound under-approximation (difference sets).
     """
@@ -134,7 +193,6 @@ def _full_residues(modulus: int) -> frozenset[int]:
     return frozenset(range(modulus))
 
 
-@dataclass(frozen=True)
 class Explicit(SetRule):
     values: tuple[int, ...]
 
@@ -160,7 +218,6 @@ class Explicit(SetRule):
         return "explicit(" + ",".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
 class Range(SetRule):
     lo: int
     hi: int
@@ -185,7 +242,6 @@ class Range(SetRule):
         return f"range({self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
 class ArithmeticProgression(SetRule):
     first: int
     step: int
@@ -209,7 +265,6 @@ class ArithmeticProgression(SetRule):
         return f"ap({self.first},{self.step})"
 
 
-@dataclass(frozen=True)
 class DyadicBlocks(SetRule):
     """Union of the blocks [2^(2k-1), 2^(2k) - 1] for k >= 1.
 
@@ -233,7 +288,6 @@ class DyadicBlocks(SetRule):
         return "dyadic()"
 
 
-@dataclass(frozen=True)
 class Naturals(SetRule):
     def _mask(self, h: int) -> np.ndarray:
         out = np.ones(h, dtype=bool)
@@ -247,18 +301,19 @@ class Naturals(SetRule):
         return "nat()"
 
 
-@dataclass(frozen=True)
-class Union(SetRule):
+class _Combination(SetRule):
+    """The members of any rule (``union``) or of every rule (``inter``)."""
+
     rules: tuple[SetRule, ...]
 
     def __post_init__(self) -> None:
         if not self.rules:
-            raise ConfigError("union() needs at least one rule")
+            raise ConfigError(f"{self.name}() needs at least one rule")
 
     def _mask(self, h: int) -> np.ndarray:
         out = self.rules[0]._mask(h).copy()
         for r in self.rules[1:]:
-            out |= r._mask(h)
+            self.combine(out, r._mask(h), out=out)
         return out
 
     def depth(self) -> int:
@@ -266,6 +321,13 @@ class Union(SetRule):
 
     def preserves_completeness(self) -> bool:
         return all(r.preserves_completeness() for r in self.rules)
+
+    def literal(self) -> str:
+        return f"{self.name}(" + ",".join(r.literal() for r in self.rules) + ")"
+
+
+class Union(_Combination):
+    name, combine = "union", np.logical_or
 
     def residues(self, modulus: int) -> frozenset[int] | None:
         acc: set[int] = set()
@@ -276,29 +338,9 @@ class Union(SetRule):
             acc |= rs
         return frozenset(acc)
 
-    def literal(self) -> str:
-        return "union(" + ",".join(r.literal() for r in self.rules) + ")"
 
-
-@dataclass(frozen=True)
-class Intersection(SetRule):
-    rules: tuple[SetRule, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rules:
-            raise ConfigError("inter() needs at least one rule")
-
-    def _mask(self, h: int) -> np.ndarray:
-        out = self.rules[0]._mask(h).copy()
-        for r in self.rules[1:]:
-            out &= r._mask(h)
-        return out
-
-    def depth(self) -> int:
-        return 1 + max(r.depth() for r in self.rules)
-
-    def preserves_completeness(self) -> bool:
-        return all(r.preserves_completeness() for r in self.rules)
+class Intersection(_Combination):
+    name, combine = "inter", np.logical_and
 
     def residues(self, modulus: int) -> frozenset[int] | None:
         # The set is contained in each factor, so any known residue cover of
@@ -311,17 +353,15 @@ class Intersection(SetRule):
             acc &= rs
         return acc
 
-    def literal(self) -> str:
-        return "inter(" + ",".join(r.literal() for r in self.rules) + ")"
 
-
-@dataclass(frozen=True)
 class Translate(SetRule):
     rule: SetRule
     offset: int
 
     def _mask(self, h: int) -> np.ndarray:
         n = self.offset
+        if n < -MAX_SHIFT:
+            raise CapExceeded(f"shift offset {n} is below the cap -{MAX_SHIFT}")
         child_h = max(1, h - n) if n >= 0 else h - n
         child = self.rule._mask(child_h)
         out = np.zeros(h, dtype=bool)
@@ -350,7 +390,6 @@ class Translate(SetRule):
         return f"shift({self.rule.literal()},{self.offset})"
 
 
-@dataclass(frozen=True)
 class DifferenceOf(SetRule):
     rule: SetRule
 
@@ -558,8 +597,7 @@ def doubling_free_certificate(rule: SetRule) -> dict | None:
 # congruence structure
 
 
-@dataclass(frozen=True)
-class CongruenceStructure:
+class CongruenceStructure(Record):
     """Proof that the described set is contained in given residues mod m."""
 
     modulus: int

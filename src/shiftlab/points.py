@@ -16,7 +16,6 @@ forward iterates, and admissibility is translation invariant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     PreconditionError,
     SpacerExhausted,
 )
-from .intset import WindowedSet, first_member
+from .intset import Record, WindowedSet, first_member
 from .subshift import (
     DEFAULT_WORD_CAP,
     FullShift,
@@ -44,14 +43,13 @@ from .subshift import (
 CHAMPERNOWNE_CAP = 16
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratedPoint:
+class GeneratedPoint(Record):
     """A one-sided prefix plus the record of how it was laid down.
 
     ``occurrence`` maps each enumerated word to the position where it was
     placed; every admissible word of length <= ``scale`` occurs there.
     ``build_log`` is the (word, spacer) sequence, sufficient to replay the
-    construction.
+    construction.  Points compare by identity.
     """
 
     bits: np.ndarray
@@ -61,6 +59,7 @@ class GeneratedPoint:
     rule_literal: str
     g_max: int | None = None
     period: int | None = None
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self) -> None:
         self.bits.setflags(write=False)

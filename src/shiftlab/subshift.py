@@ -28,8 +28,7 @@ once by slicing the rule's gap mask.  A single window is the batch of one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .errors import CapExceeded, ConfigError, HorizonExhausted, PreconditionErro
 from .intset import (
     SET_RULES,
     CallKind,
+    Record,
     SetRule,
     WindowedSet,
     doubling_free_certificate,
@@ -57,8 +57,7 @@ TWO_SIDED = "two-sided"
 # words and cylinders
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A finite 0/1 word stored as its length plus the positions of its 1s."""
 
     length: int
@@ -86,8 +85,7 @@ class Word:
         return "".join(bits)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     """A word pinned at an absolute offset (0 for one-sided shifts)."""
 
     word: Word
@@ -111,8 +109,7 @@ def _cached_mask(
     return cached
 
 
-@dataclass(frozen=True)
-class ShiftRule:
+class ShiftRule(Record):
     """Base for downward-closed rules over {0,1}.
 
     A rule is one gap mask plus an optional triple law: two 1s at distance g
@@ -120,15 +117,9 @@ class ShiftRule:
     three 1s may have consecutive gaps g1, g2 with g2 = ratio * g1.
     """
 
-    last_forbidden_gap: ClassVar[float] = float("inf")  # inf: no bound known
-
-    @property
-    def sidedness(self) -> str:
-        return ONE_SIDED
-
-    @property
-    def ratio(self) -> int | None:
-        return None
+    last_forbidden_gap = float("inf")  # inf: no bound known
+    sidedness = ONE_SIDED
+    ratio = None
 
     def pair_mask(self, bound: int) -> np.ndarray:
         """allowed[g] for g in [0, bound]; the array may run past ``bound``."""
@@ -138,7 +129,6 @@ class ShiftRule:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FullShift(ShiftRule):
     last_forbidden_gap = 0
 
@@ -149,7 +139,6 @@ class FullShift(ShiftRule):
         return "full()"
 
 
-@dataclass(frozen=True)
 class Spacing(ShiftRule):
     """1s may only sit at mutual distances drawn from the rule's set."""
 
@@ -177,22 +166,18 @@ def _all_but_gap_one(h: int) -> np.ndarray:
     return allowed
 
 
-@dataclass(frozen=True)
 class TripleRatio(ShiftRule):
     """Two-sided rule forbidding adjacent 1s and gap pairs with g2 = (p-1)*g1."""
 
     p: int
     last_forbidden_gap = 1
+    sidedness = TWO_SIDED
 
     def __post_init__(self) -> None:
         if self.p <= 2:
             raise ConfigError("tripleratio(p) requires p > 2")
         if self.p - 1 > MAX_TRIPLE_RATIO:
             raise ConfigError(f"tripleratio(p) requires p - 1 <= {MAX_TRIPLE_RATIO}")
-
-    @property
-    def sidedness(self) -> str:
-        return TWO_SIDED
 
     @property
     def ratio(self) -> int:
@@ -304,8 +289,7 @@ def enumerate_admissible_words(
 # hitting kernel
 
 
-@dataclass(frozen=True)
-class HitAnalysis:
+class HitAnalysis(Record):
     """What the linear kernel learned beyond the raw window.
 
     ``pair_constraints`` are (coef, delta) pairs: for every n past the
