@@ -549,11 +549,10 @@ class FamilyQuery(Record):
             return self.spec.literal()
         if self.kind == "nabla":
             return f"nabla({self.spec.literal()})"
+        head = ",".join(str(x) for x in self.vector)
         if self.kind == "fa":
-            head = ",".join(str(x) for x in self.vector)
             return f"fa({head};{self.grid.nmax},{self.grid.kmax})"
         if self.kind == "fsa":
-            head = ",".join(str(x) for x in self.vector)
             return f"fsa({head};{self.grid.nmax},{self.grid.g})"
         return f"finfty({self.m_max};{self.grid.nmax},{self.grid.kmax})"
 

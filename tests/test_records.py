@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shiftlab.cli import RunConfig
-from shiftlab.dynamics import SweepReport
 from shiftlab.errors import ConfigError, ShiftLabError
 from shiftlab.families import FamilyQuery, FamilySpec, GridParams, WindowReport
 from shiftlab.intset import (
@@ -139,19 +138,17 @@ def test_generated_point_bits_are_read_only():
         lambda: Spacing(Union((Naturals(), DifferenceOf(Naturals())))),
         lambda: TripleRatio(2),
         lambda: TripleRatio((1 << 29) + 2),
-        lambda: SweepReport("full()", "x", {}, "Maybe", (), None),
         lambda: FamilySpec("thin", 2),
         lambda: FamilySpec("thick", 0),
-        lambda: GridParams(nmax=-1),
         lambda: GridParams(g=0),
         lambda: WindowReport("Maybe", None, 1, "proof"),
         lambda: WindowReport("Witnessed", None, 1, "proof"),
-        lambda: RunConfig("check", expect="maybe"),
-        lambda: RunConfig("check", fmt="yaml"),
         lambda: RunConfig("check", threads=0),
     ],
 )
 def test_validators_reject_bad_input(make):
+    # with the cases in test_run_config_validation, test_fa_validation and
+    # test_sweep_report_rejects_unknown_verdict, every validator is covered
     with pytest.raises(ShiftLabError):
         make()
 
