@@ -786,12 +786,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def run_python(*args, address_space=None):
     """``python *args`` with shiftlab on the path, under an address-space limit if given."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    limit = None
-    if address_space is not None:
-        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))  # noqa: E731
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, preexec_fn=limit,
-        timeout=300,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=None if address_space is None else limit,
     )
 
 
