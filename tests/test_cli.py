@@ -783,7 +783,7 @@ def test_exit_statuses_are_exhaustive(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args, address_space=None):
+def run_python(*args, address_space=None, timeout=300):
     """``python *args`` with shiftlab on the path, under an address-space limit if given."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
 
@@ -791,7 +791,7 @@ def run_python(*args, address_space=None):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=None if address_space is None else limit,
     )
 
@@ -829,3 +829,20 @@ def test_huge_kmax_is_sized_by_the_window():
     child = run_python("-m", "shiftlab.cli", *argv, address_space=2 << 30)
     assert (child.returncode, child.stderr) == (0, "")
     assert json.loads(child.stdout)["config"]["family"] == argv[-1]
+
+
+@pytest.mark.parametrize("m_max", [2000, 100000])
+def test_finfty_staircase_over_the_cap_exits_2_within_a_second(m_max):
+    # with Nmax 0 every level is one cell, so no level's grid reaches the cap,
+    # yet each level i still builds i k tables: the staircase costs ~m_max^2 / 2
+    probe = (
+        "import sys, time; from shiftlab.cli import main; start = time.perf_counter(); "
+        "status = main(sys.argv[1:]); print(status, time.perf_counter() - start < 1)"
+    )
+    argv = [
+        "diagnose", "--rule", "full()", "--point", "champernowne", "--pointlen", "3",
+        "--horizon", "8", "--family", f"finfty({m_max};0,1)",
+    ]
+    child = run_python("-c", probe, *argv, timeout=60)
+    assert child.stdout == "2 True\n"
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
