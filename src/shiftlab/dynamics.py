@@ -144,17 +144,17 @@ def _mask_ids(
 
     Returns the distinct masks, one ``np.packbits`` row each; ``ids``, with
     row ``ids[i, t]`` the window of tuple t placed at ``coords[i]``; and
-    ``read(i, t)``, that window's HitAnalysis.  A chunk's distinct rows are
-    matched to the masks numbered before it by their exact packed bytes, so
-    no earlier mask is sorted again.
+    ``read(i, t)``, that window's HitAnalysis.  A chunk's rows are sorted
+    packed (in the bool rows' order: the first bit is the most significant)
+    and matched to the masks numbered before it, so none is sorted again.
     """
     numbered = {}  # packed mask -> id, in id order
     ids = np.empty((len(coords), len(tuples)), dtype=np.int64)
     starts, analyses = [[] for _ in coords], [[] for _ in coords]
     for i, coefs in enumerate(coords):
         for start, batch, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
-            keys, inverse = unique_rows(batch)
-            found = [numbered.setdefault(np.packbits(k).tobytes(), len(numbered)) for k in keys]
+            keys, inverse = unique_rows(np.packbits(batch, axis=1))
+            found = [numbered.setdefault(k.tobytes(), len(numbered)) for k in keys]
             ids[i, start : start + len(batch)] = np.array(found)[inverse]
             starts[i].append(start)
             analyses[i].append(analysis)
@@ -171,13 +171,19 @@ def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.
     """Every family (one tuple per coordinate, in lexicographic order) and the
     least n in all of its windows at once, or 0; one AND per distinct family."""
     families = _index_tuples(ids.shape[1], len(ids))
-    combos, inverse = unique_rows(ids[np.arange(len(ids)), families])
+    columns = ids[np.arange(len(ids)), families]
+    rank = np.zeros(len(columns), dtype=np.int64)  # re-ranked per column: below rows x masks
+    for column in columns.T:
+        _, pick, rank = np.unique(
+            rank * len(packed) + column, return_index=True, return_inverse=True
+        )
+    combos = columns[pick]
     rows = chunk_rows(packed.shape[1] * 8 * len(ids))
     firsts = np.concatenate([  # 0 is never a member: 0 means none
         np.unpackbits(np.bitwise_and.reduce(packed[key], axis=1), axis=1).argmax(axis=1)
         for key in (combos[lo : lo + rows] for lo in range(0, len(combos), rows))
     ])
-    return families, firsts[inverse]
+    return families, firsts[rank]
 
 
 def _first_runs(masks: np.ndarray, run: int) -> np.ndarray:

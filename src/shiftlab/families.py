@@ -44,6 +44,7 @@ from .intset import (
     SetRule,
     WindowedSet,
     congruence_structures,
+    difference_head,
     difference_set,
     doubling_free_certificate,
 )
@@ -112,14 +113,6 @@ class WindowReport(Record):
             raise ConfigError(f"{self.verdict} requires a payload")
 
 
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of maximal True runs."""
-    padded = np.concatenate(([False], mask, [False])).astype(np.int8)
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == 1)
-    return starts, np.flatnonzero(edges == -1) - starts
-
-
 # ---------------------------------------------------------------------------
 # plain families
 
@@ -137,18 +130,7 @@ def family_window_report(s: WindowedSet, spec: FamilySpec) -> WindowReport:
     if spec.kind == "thick":
         if spec.param > h:
             raise HorizonExhausted(f"thick({spec.param}) needs horizon >= {spec.param}")
-        starts, lengths = _runs(s.mask)
-        hit = np.flatnonzero(lengths >= spec.param)
-        if hit.size:
-            start = int(starts[hit[0]])
-            return WindowReport(
-                WITNESSED,
-                {"run_start": start, "run_length": spec.param},
-                h,
-                WITNESS_ONLY,
-            )
-        longest = int(lengths.max()) if lengths.size else 0
-        return WindowReport(UNDETERMINED, {"longest_run": longest}, h, HOLDS_ON_WINDOW)
+        return _thick_report(s.mask, spec.param, h)
 
     if spec.kind == "syndetic":
         g = spec.param
@@ -187,6 +169,19 @@ def family_window_report(s: WindowedSet, spec: FamilySpec) -> WindowReport:
     return WindowReport(UNDETERMINED, {"holds_on_window": True}, h, HOLDS_ON_WINDOW)
 
 
+def _thick_report(mask: np.ndarray, run: int, h: int) -> WindowReport:
+    """Witnessed at the first maximal run of ``run`` or more Trues, else the longest run."""
+    edges = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    hit = np.flatnonzero(lengths >= run)
+    if hit.size:
+        witness = {"run_start": int(starts[hit[0]]), "run_length": run}
+        return WindowReport(WITNESSED, witness, h, WITNESS_ONLY)
+    longest = int(lengths.max()) if lengths.size else 0
+    return WindowReport(UNDETERMINED, {"longest_run": longest}, h, HOLDS_ON_WINDOW)
+
+
 def _syndetic_gap(values: np.ndarray, h: int, g: int) -> dict | None:
     """First anchored successive gap exceeding g, scanning left to right.
 
@@ -220,7 +215,15 @@ def nabla_report(s: WindowedSet, spec: FamilySpec) -> WindowReport:
     absent from the infinite object (pairs beyond the horizon may supply
     it), so the difference window is never complete and refutations arrive
     downgraded.
+
+    thick(L) first scans :func:`difference_head`: the first maximal run of
+    length >= L is fixed by the lags up to its L-th member, so a run found
+    there is the plain report's witness and no transform is taken.
     """
+    if spec.kind == "thick":
+        report = _thick_report(difference_head(s), spec.param, s.horizon)
+        if report.verdict == WITNESSED:
+            return report
     return family_window_report(difference_set(s), spec)
 
 
@@ -507,13 +510,14 @@ def finfty_grid_report(
         raise PreconditionError("m_max must be >= 1")
     if which not in ("fa", "fsa"):
         raise ConfigError(f"unknown variant {which!r}")
-    levels: list[WindowReport] = []
+    # level i: i k tables and (nmax+1)^i cells; with nmax 0 only the tables grow (as m_max^2)
+    span, work = grid.nmax + 1, 0
     for i in range(1, m_max + 1):
-        a = tuple(range(1, i + 1))
-        if which == "fa":
-            levels.append(fa_grid_report(s, a, grid, rule))
-        else:
-            levels.append(fsa_grid_report(s, a, grid, rule))
+        work += i * (1 + min(grid.kmax, (s.horizon - 1) // i) * span) + span**i
+        if work > grid.cell_cap:
+            raise CapExceeded(f"staircase of {m_max} levels exceeds cap {grid.cell_cap}")
+    level = fa_grid_report if which == "fa" else fsa_grid_report
+    levels = [level(s, tuple(range(1, i + 1)), grid, rule) for i in range(1, m_max + 1)]
     ranks = [VERDICT_RANK[rep.verdict] for rep in levels]
     deciding = ranks.index(min(ranks)) + 1
     worst = levels[deciding - 1]

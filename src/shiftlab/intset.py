@@ -521,21 +521,36 @@ def _lag_bits(product: np.ndarray, n: int, lags: int, out: np.ndarray | None = N
     return bits
 
 
+def _difference_length(s: WindowedSet) -> int:
+    """Transform length for the difference set of ``s``: cost cap first, then error bound."""
+    h, m = s.horizon, len(s)
+    if m * h > _DIFFERENCE_COST_CAP:
+        raise CapExceeded(
+            f"difference set of {m} members at horizon {h} exceeds the kernel cost cap"
+        )
+    return _transform_length(h, h, m, m)
+
+
 def difference_set(s: WindowedSet) -> WindowedSet:
     """All positive pairwise differences of window members.
 
     Sound but not complete: members beyond the horizon could contribute
     further small differences, so the result is flagged ``complete=False``.
     """
-    h, m = s.horizon, len(s)
-    if m * h > _DIFFERENCE_COST_CAP:
-        raise CapExceeded(
-            f"difference set of {m} members at horizon {h} exceeds the kernel cost cap"
-        )
-    n = _transform_length(h, h, m, m)
+    h, n = s.horizon, _difference_length(s)
     spectrum = np.fft.rfft(s.mask, n)
     spectrum *= spectrum.conj()
     return WindowedSet.from_mask(_lag_bits(spectrum, n, h), complete=False)
+
+
+def difference_head(s: WindowedSet) -> np.ndarray:
+    """:func:`difference_set`'s mask over its first t lags, where t = 2*ceil(log2 n) is the
+    stage count its length-n transform is charged: t ANDs of h bits cost about as much."""
+    h, mask = s.horizon, s.mask
+    head = np.zeros(min(h, 2 * (_difference_length(s) - 1).bit_length()), dtype=bool)
+    for d in range(1, head.size):
+        head[d] = np.logical_and(mask[: h - d], mask[d:]).any()
+    return head
 
 
 def cross_differences(

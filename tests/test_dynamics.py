@@ -13,9 +13,10 @@ from shiftlab.families import (
     WITNESSED,
     GridParams,
     fa_grid_report,
+    family_window_report,
     parse_family_spec,
 )
-from shiftlab.intset import ArithmeticProgression, DyadicBlocks, WindowedSet
+from shiftlab.intset import ArithmeticProgression, DyadicBlocks, WindowedSet, difference_set
 from shiftlab.points import (
     build_transitive_point,
     champernowne,
@@ -35,10 +36,12 @@ from shiftlab.subshift import (
     is_admissible,
     linear_hitting,
     parse_shift_rule,
+    unique_rows,
 )
 from shiftlab.dynamics import (
     FAILS_ON_WINDOW,
     SweepOutcome,
+    _family_firsts,
     _index_tuples,
     _mask_ids,
     check_a_transitive,
@@ -206,6 +209,40 @@ def test_mask_ids_map_every_tuple_to_its_window(text, length, strides, product, 
                 unpacked = np.unpackbits(packed[ids[i, start + j]], count=h + 1)
                 assert np.array_equal(unpacked.astype(bool), mask)
                 assert read(i, start + j) == analysis(j)
+
+
+def void_row_family_firsts(packed, ids):
+    """_family_firsts as it ranked the id combinations by whole void rows."""
+    families = _index_tuples(ids.shape[1], len(ids))
+    combos, inverse = unique_rows(ids[np.arange(len(ids)), families])
+    masks = np.unpackbits(packed, axis=1).astype(bool)
+    firsts = np.array([np.logical_and.reduce(masks[c]).argmax() for c in combos])
+    return families, firsts[inverse]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_family_firsts_match_the_void_row_ranking(r, width, masks, bits, seed):
+    rng = np.random.default_rng(seed)
+    windows = rng.random((masks, bits)) < 0.7
+    windows[:, 0] = False
+    packed = np.packbits(windows, axis=1)
+    ids = rng.integers(0, masks, size=(r, width))
+    families, firsts = _family_firsts(packed, ids)
+    expected_families, expected = void_row_family_firsts(packed, ids)
+    assert np.array_equal(families, expected_families)
+    assert np.array_equal(firsts, expected)
+    # packed rows sort as the bool rows do, so _mask_ids numbers masks in the same order
+    keys, inverse = unique_rows(windows)
+    packed_keys, packed_inverse = unique_rows(packed)
+    assert np.array_equal(np.packbits(keys, axis=1), packed_keys)
+    assert np.array_equal(inverse, packed_inverse)
 
 
 @settings(max_examples=25, deadline=None)
@@ -673,6 +710,21 @@ def test_diagnostic_nabla_thick_full_shift():
     assert rep.verdict == WITNESSED
     assert len(rep.per_cylinder) == 4
     assert all(r.verdict == WITNESSED for _, r in rep.per_cylinder)
+
+
+def no_transform(*args, **kwargs):
+    raise AssertionError("a transform was taken")
+
+
+def test_diagnostic_nabla_thick_at_1e5_takes_no_transform(monkeypatch):
+    point, spec = champernowne(13), parse_family_spec("nabla(thick(16))")
+    with monkeypatch.context() as patched:
+        patched.setattr(np.fft, "rfft", no_transform)
+        rep = point_diagnostic(FullShift(), point, 2, 10**5, spec)
+    assert rep.verdict == WITNESSED
+    for word, report in rep.per_cylinder:
+        s = entering_window(FullShift(), point, W(word), 10**5)
+        assert report == family_window_report(difference_set(s), spec.spec)
 
 
 def test_diagnostic_nabla_thick_evens():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.errors import (
@@ -42,6 +42,7 @@ from shiftlab.intset import (
     Naturals,
     WindowedSet,
     congruence_structures,
+    difference_head,
     difference_set,
     doubling_free_certificate,
     materialize,
@@ -187,12 +188,33 @@ def test_nabla_never_refutes_from_a_window():
     assert rep.interpretation == REFUTED_ON_WINDOW
 
 
-def test_nabla_composition_law():
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.floats(0, 1),
+    st.integers(1, 48),
+    st.integers(0, 2**32 - 1),
+)
+@example(600, 0.9, 16, 0)  # a 16-run inside the 22 scanned lags: no transform
+@example(600, 0.9, 40, 0)  # L past the scanned lags: the transform decides
+@example(600, 0.05, 2, 0)  # no 2-run among the first lags: the transform decides
+def test_nabla_composition_law(h, density, run, seed):
     specs = [FamilySpec("thick", 3), FamilySpec("syndetic", 2), FamilySpec("cofinite", 4)]
     for rule in (EVENS_RULE, DYADIC_RULE, NATS_RULE):
         s = materialize(rule, 96)
         for spec in specs:
             assert nabla_report(s, spec) == family_window_report(difference_set(s), spec)
+    s = WindowedSet.from_mask(np.random.default_rng(seed).random(h) < density)
+    head = difference_head(s)
+    assert np.array_equal(head, difference_set(s).mask[: head.size])
+    spec = FamilySpec("thick", run)
+    if run > h:
+        with pytest.raises(HorizonExhausted):
+            nabla_report(s, spec)
+        with pytest.raises(HorizonExhausted):
+            family_window_report(difference_set(s), spec)
+    else:
+        assert nabla_report(s, spec) == family_window_report(difference_set(s), spec)
 
 
 # ---------------------------------------------------------------------------
