@@ -174,10 +174,9 @@ def _family_firsts(packed: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.
     columns = ids[np.arange(len(ids)), families]
     rank = np.zeros(len(columns), dtype=np.int64)  # re-ranked per column: below rows x masks
     for column in columns.T:
-        _, pick, rank = np.unique(
-            rank * len(packed) + column, return_index=True, return_inverse=True
-        )
-    combos = columns[pick]
+        rank = np.unique(rank * len(packed) + column, return_inverse=True)[1]
+    combos = np.empty((rank.max() + 1, len(ids)), dtype=ids.dtype)
+    combos[rank] = columns
     rows = chunk_rows(packed.shape[1] * 8 * len(ids))
     firsts = np.concatenate([  # 0 is never a member: 0 means none
         np.unpackbits(np.bitwise_and.reduce(packed[key], axis=1), axis=1).argmax(axis=1)

@@ -504,7 +504,8 @@ def finfty_grid_report(
     """Conjunction over the staircase vectors (1), (1,2), ..., (1,...,m_max).
 
     The overall verdict is the weakest level verdict; the first level
-    attaining it is reported.
+    attaining it is reported.  A staircase whose k tables and cells, summed
+    over its levels, exceed the cell cap is refused before the first level.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be >= 1")
