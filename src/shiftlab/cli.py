@@ -19,6 +19,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, ShiftLabError
 from .families import (
     REFUTED,
@@ -311,19 +313,18 @@ def _run_verify(config: RunConfig) -> dict:
         report = verify_orbit_closure_prop(
             rule, config.vector, config.wordlen, config.horizon
         )
-        disagreeing = [
-            [list(o.words), o.lhs, o.rhs]
-            for o in report.table
-            if (o.lhs is None) != (o.rhs is None)
-        ]
+        lhs, rhs = report.lhs, report.rhs
+
+        def row(t: int) -> list:
+            return [list(lhs[t].words), lhs[t].witness, rhs[t].witness]
+
+        disagreeing = np.flatnonzero((lhs.witnesses == 0) != (rhs.witnesses == 0))
         verdict = WITNESSED if report.agree else FAILS_ON_WINDOW
         witnesses = {
-            "tuples": len(report.table),
+            "tuples": len(lhs),
             "a_prime": list(report.a_prime),
-            "disagreeing": disagreeing[:SAMPLE_LIMIT],
-            "sample": [
-                [list(o.words), o.lhs, o.rhs] for o in report.table[:SAMPLE_LIMIT]
-            ],
+            "disagreeing": [row(t) for t in disagreeing[:SAMPLE_LIMIT].tolist()],
+            "sample": [row(t) for t in range(min(SAMPLE_LIMIT, len(lhs)))],
         }
         echo = _echo(
             config,
@@ -332,7 +333,7 @@ def _run_verify(config: RunConfig) -> dict:
             wordlen=config.wordlen,
             horizon=config.horizon,
         )
-        return _assemble(echo, verdict, witnesses, [], len(report.table))
+        return _assemble(echo, verdict, witnesses, [], len(lhs))
     if config.prop == "delta-product":
         report = verify_delta_product(
             rule, config.vector, config.depth, config.wordlen, config.horizon

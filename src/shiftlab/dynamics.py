@@ -34,16 +34,17 @@ from .intset import CallKind, Record, WindowedSet, cross_differences
 from .points import GeneratedPoint, entering_window
 from .subshift import (
     DEFAULT_WORD_CAP,
-    Cylinder,
     HitAnalysis,
     ShiftRule,
     TWO_SIDED,
     Word,
     _positions_admissible,
+    admissible_rows,
     chunk_rows,
     emptiness_certificate,
     enumerate_admissible_words,
     hitting_batches,
+    row_texts,
     unique_rows,
 )
 
@@ -106,11 +107,11 @@ class SweepReport(Record):
             raise ConfigError(f"unknown verdict {self.verdict!r}")
 
 
-def sweep_cylinders(rule: ShiftRule, length: int, cap: int | None = None) -> list[Cylinder]:
-    """Admissible length-l cylinders in lex order; centered when two-sided."""
+def _sweep_rows(rule: ShiftRule, length: int) -> tuple[np.ndarray, int]:
+    """Admissible length-l words as bool rows in lex order, and the offset
+    they are placed at: centered when two-sided."""
     offset = -((length - 1) // 2) if rule.sidedness == TWO_SIDED else 0
-    kwargs = {} if cap is None else {"cap": cap}
-    return [Cylinder(w, offset) for w in enumerate_admissible_words(rule, length, **kwargs)]
+    return admissible_rows(rule, length), offset
 
 
 def _close(
@@ -137,13 +138,14 @@ def _index_tuples(width: int, k: int) -> np.ndarray:
 
 
 def _mask_ids(
-    rule: ShiftRule, coords: Sequence[Sequence[int]], cylinders: list[Cylinder],
+    rule: ShiftRule, coords: Sequence[Sequence[tuple[int, int, np.ndarray]]],
     tuples: np.ndarray, h: int,
 ) -> tuple[np.ndarray, np.ndarray, Callable[[int, int], HitAnalysis]]:
     """Number the distinct hitting masks of ``tuples`` placed at each coordinate.
 
     Returns the distinct masks, one ``np.packbits`` row each; ``ids``, with
-    row ``ids[i, t]`` the window of tuple t placed at ``coords[i]``; and
+    row ``ids[i, t]`` the window of tuple t placed by ``coords[i]`` (the
+    placements of :func:`hitting_batches`); and
     ``read(i, t)``, that window's HitAnalysis.  A chunk's rows are sorted
     packed (in the bool rows' order: the first bit is the most significant)
     and matched to the masks numbered before it, so none is sorted again.
@@ -151,8 +153,8 @@ def _mask_ids(
     numbered = {}  # packed mask -> id, in id order
     ids = np.empty((len(coords), len(tuples)), dtype=np.int64)
     starts, analyses = [[] for _ in coords], [[] for _ in coords]
-    for i, coefs in enumerate(coords):
-        for start, batch, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+    for i, placements in enumerate(coords):
+        for start, batch, analysis in hitting_batches(rule, placements, tuples, h):
             keys, inverse = unique_rows(np.packbits(batch, axis=1))
             found = [numbered.setdefault(k.tobytes(), len(numbered)) for k in keys]
             ids[i, start : start + len(batch)] = np.array(found)[inverse]
@@ -207,9 +209,9 @@ def _certificates(
     return {t: {"certificate": cert} for t, cert in certs.items() if cert is not None}
 
 
-def _words(cylinders: list[Cylinder], tuples: np.ndarray | None = None) -> list[tuple[str, ...]]:
-    """The words of each row of ``tuples``; of each cylinder alone by default."""
-    names = [str(c.word) for c in cylinders]
+def _words(rows: np.ndarray, tuples: np.ndarray | None = None) -> list[tuple[str, ...]]:
+    """The words of each row of ``tuples``; of each word row alone by default."""
+    names = row_texts(rows)
     return [(n,) for n in names] if tuples is None else [
         tuple(names[w] for w in tup) for tup in tuples.tolist()
     ]
@@ -227,10 +229,10 @@ def check_transitive(
     run = None if mode in ("plain", "cofinite_from") else _MODES.parse(mode)
     if run is not None and run < 1:
         raise ConfigError("thick parameter must be >= 1")
-    cylinders = sweep_cylinders(rule, length)
-    tuples = _index_tuples(len(cylinders), 2)
+    rows, offset = _sweep_rows(rule, length)
+    tuples = _index_tuples(len(rows), 2)
     firsts = []
-    for _, masks, _ in hitting_batches(rule, (0, 1), cylinders, tuples, h):
+    for _, masks, _ in hitting_batches(rule, [(0, offset, rows), (1, offset, rows)], tuples, h):
         if mode != "cofinite_from":
             firsts.append(_first_runs(masks, run or 1))
         else:  # one past the last n >= 1 outside the window (1 for none)
@@ -244,7 +246,7 @@ def check_transitive(
         details = {t: {"last_missing": h} if n0 > h else {"n0": n0}
                    for t, n0 in enumerate(witnesses.tolist())}
         witnesses[witnesses > h] = 0
-    outcomes = SweepOutcomes(_words(cylinders), tuples, witnesses, details, common)
+    outcomes = SweepOutcomes(_words(rows), tuples, witnesses, details, common)
     return _close(rule, "check_transitive", {"l": length, "h": h, "mode": mode}, outcomes)
 
 
@@ -256,15 +258,16 @@ def check_a_transitive(
     a = tuple(int(x) for x in a)
     if not a or any(x < 1 for x in a):
         raise PreconditionError("vector entries must be >= 1")
-    cylinders = sweep_cylinders(rule, length)
-    pairs = _index_tuples(len(cylinders), 2)
-    packed, ids, read = _mask_ids(rule, [(0, ai) for ai in a], cylinders, pairs, h)
+    rows, offset = _sweep_rows(rule, length)
+    pairs = _index_tuples(len(rows), 2)
+    coords = [[(0, offset, rows), (ai, offset, rows)] for ai in a]
+    packed, ids, read = _mask_ids(rule, coords, pairs, h)
     families, firsts = _family_firsts(packed, ids)
     certs = _certificates(
         rule, np.flatnonzero(firsts == 0).tolist(),
         lambda f: [read(i, p) for i, p in enumerate(families[f].tolist())], h,
     )
-    outcomes = SweepOutcomes(_words(cylinders, pairs), families, firsts, certs)
+    outcomes = SweepOutcomes(_words(rows, pairs), families, firsts, certs)
     return _close(
         rule, "check_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -292,14 +295,15 @@ def check_delta_a_transitive(
     if not a:
         raise PreconditionError("vector must be nonempty")
     _require_strictly_increasing(a)
-    cylinders = sweep_cylinders(rule, length)
-    tuples = _index_tuples(len(cylinders), len(a) + 1)
+    rows, offset = _sweep_rows(rule, length)
+    tuples = _index_tuples(len(rows), len(a) + 1)
+    placements = [(c, offset, rows) for c in (0,) + a]
     firsts, certs = [], {}
-    for start, masks, analysis in hitting_batches(rule, (0,) + a, cylinders, tuples, h):
+    for start, masks, analysis in hitting_batches(rule, placements, tuples, h):
         firsts.append(masks.argmax(axis=1))  # 0 is never a member: 0 means none
         failing = (np.flatnonzero(firsts[-1] == 0) + start).tolist()
         certs.update(_certificates(rule, failing, lambda t: analysis(t - start), h))
-    outcomes = SweepOutcomes(_words(cylinders), tuples, np.concatenate(firsts), certs)
+    outcomes = SweepOutcomes(_words(rows), tuples, np.concatenate(firsts), certs)
     return _close(
         rule, "check_delta_a_transitive", {"a": list(a), "l": length, "h": h}, outcomes
     )
@@ -326,8 +330,8 @@ def _check_scale(rule: ShiftRule, point: GeneratedPoint, scale: int) -> None:
     if scale <= point.scale:
         return
     text = point.prefix_string()
-    for w in enumerate_admissible_words(rule, scale, cap=max(scale, DEFAULT_WORD_CAP)):
-        if str(w) not in text:
+    for w in row_texts(admissible_rows(rule, scale, cap=max(scale, DEFAULT_WORD_CAP))):
+        if w not in text:
             raise PreconditionError(
                 f"prefix is not transitive at scale {scale}: {w} never occurs"
             )
@@ -354,18 +358,25 @@ def _check_nuv(
 
 def _nuv_reports(
     rule: ShiftRule, point: GeneratedPoint, words: Sequence[Word],
-    batches: Sequence[Sequence[tuple[int, int]]], h: int, h_cmp: int,
+    batches: Sequence[tuple[Sequence[int], Sequence[int]]], h: int, h_cmp: int,
 ) -> list[NuvReport]:
-    """Compare N(u,v) with N(x,v) - N(x,u) over [0, h_cmp] for each index pair of ``batches``.
+    """Compare N(u,v) with N(x,v) - N(x,u) over [0, h_cmp] for each u in ``us``
+    and v in ``vs`` of each ``(us, vs)`` of ``batches`` (indices into ``words``).
 
     Each word's entering window and its spectrum are taken once; the
-    hitting windows come in one batch per element of ``batches``.
+    hitting windows come in one batch per element of ``batches``, whose
+    index groups each hold words of one length and are stacked into one
+    rows array each.
     """
     entering = [entering_window(rule, point, w, h - w.length) for w in words]
-    differences = cross_differences(entering, [p for b in batches for p in b], h_cmp + 1)
-    cylinders, reports = [Cylinder(w) for w in words], {}
-    for idx in batches:
-        for start, masks, _ in hitting_batches(rule, (0, 1), cylinders, idx, h_cmp):
+    pairs = [list(itertools.product(us, vs)) for us, vs in batches]
+    differences = cross_differences(entering, sum(pairs, []), h_cmp + 1)
+    stacked = {id(g): np.array([words[i].row for i in g]) for b in batches for g in b}
+    reports = {}
+    for (us, vs), idx in zip(batches, pairs):
+        placements = [(0, 0, stacked[id(us)]), (1, 0, stacked[id(vs)])]
+        tuples = np.indices((len(us), len(vs))).reshape(2, -1).T
+        for start, masks, _ in hitting_batches(rule, placements, tuples, h_cmp):
             for (i, j), window in zip(idx[start:], masks):
                 diffs = differences(i, j)  # like window, it covers [0, h_cmp] and never holds 0
                 stray = np.flatnonzero(diffs & ~window)
@@ -397,7 +408,7 @@ def verify_nuv(
     reported.
     """
     _check_nuv(rule, point, h, h_cmp, [max(u.length, v.length)])
-    return _nuv_reports(rule, point, [u, v], [[(0, 1)]], h, h_cmp)[0]
+    return _nuv_reports(rule, point, [u, v], [([0], [1])], h, h_cmp)[0]
 
 
 def verify_nuv_pairs(
@@ -413,24 +424,20 @@ def verify_nuv_pairs(
     _check_nuv(rule, point, h, h_cmp, range(1, wordlen + 1))
     words = [w for n in range(1, wordlen + 1) for w in enumerate_admissible_words(rule, n)]
     groups = [[i for i, w in enumerate(words) if w.length == n] for n in range(1, wordlen + 1)]
-    batches = [[(i, j) for i in us for j in vs] for us, vs in itertools.product(groups, repeat=2)]
-    return _nuv_reports(rule, point, words, batches, h, h_cmp)
-
-
-class OrbitOutcome(Record):
-    words: tuple[str, ...]
-    lhs: int | None
-    rhs: int | None
+    return _nuv_reports(rule, point, words, list(itertools.product(groups, repeat=2)), h, h_cmp)
 
 
 class OrbitClosureReport(Record):
+    """``lhs`` and ``rhs`` hold each tuple's least witness on either side."""
+
     rule: str
     a: tuple[int, ...]
     a_prime: tuple[int, ...]
     length: int
     h: int
     agree: bool
-    table: tuple[OrbitOutcome, ...]
+    lhs: SweepOutcomes
+    rhs: SweepOutcomes
 
 
 def verify_orbit_closure_prop(
@@ -448,23 +455,19 @@ def verify_orbit_closure_prop(
         raise PreconditionError("vector must have length >= 2")
     _require_strictly_increasing(a)
     a_prime = tuple(x - a[0] for x in a[1:])
-    cylinders = sweep_cylinders(rule, length)
-    tuples = _index_tuples(len(cylinders), len(a))
-    lhs, rhs = (
-        np.concatenate([  # 0 is never a member: 0 means none
-            masks.argmax(axis=1)
-            for _, masks, _ in hitting_batches(rule, coefs, cylinders, tuples, h)
-        ]).tolist()
-        for coefs in (a, (0,) + a_prime)
-    )
-    table = [
-        OrbitOutcome(words, left or None, right or None)
-        for words, left, right in zip(_words(cylinders, tuples), lhs, rhs)
-    ]
-    agree = all((o.lhs is None) == (o.rhs is None) for o in table)
-    return OrbitClosureReport(
-        rule.literal(), a, a_prime, length, h, agree, tuple(table)
-    )
+    rows, offset = _sweep_rows(rule, length)
+    tuples = _index_tuples(len(rows), len(a))
+    names = _words(rows)
+
+    def side(coefs: tuple[int, ...]) -> SweepOutcomes:
+        placements = [(c, offset, rows) for c in coefs]
+        batches = hitting_batches(rule, placements, tuples, h)
+        # 0 is never a member: 0 means none
+        return SweepOutcomes(names, tuples, np.concatenate([m.argmax(axis=1) for _, m, _ in batches]))
+
+    lhs, rhs = side(a), side((0,) + a_prime)
+    agree = bool(((lhs.witnesses == 0) == (rhs.witnesses == 0)).all())
+    return OrbitClosureReport(rule.literal(), a, a_prime, length, h, agree, lhs, rhs)
 
 
 def verify_delta_product(
@@ -487,12 +490,12 @@ def verify_delta_product(
     _require_strictly_increasing(a)
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    cylinders = sweep_cylinders(rule, length)
-    tuples = _index_tuples(len(cylinders), n + 1)
-    coords = [[j * ai for j in range(n + 1)] for ai in a]
-    packed, ids, _ = _mask_ids(rule, coords, cylinders, tuples, h)
+    rows, offset = _sweep_rows(rule, length)
+    tuples = _index_tuples(len(rows), n + 1)
+    coords = [[(j * ai, offset, rows) for j in range(n + 1)] for ai in a]
+    packed, ids, _ = _mask_ids(rule, coords, tuples, h)
     families, firsts = _family_firsts(packed, ids)
-    outcomes = SweepOutcomes(_words(cylinders, tuples), families, firsts)
+    outcomes = SweepOutcomes(_words(rows, tuples), families, firsts)
     return _close(
         rule,
         "verify_delta_product",

@@ -90,7 +90,6 @@ class GridParams(Record):
     nmax: int = 4
     kmax: int = 64
     g: int | None = None
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         if self.nmax < 0 or self.kmax < 0:
@@ -284,9 +283,9 @@ def _check_grid_shape(a: Sequence[int], grid: GridParams) -> None:
         raise PreconditionError("vector must be non-empty")
     if any(ai < 1 for ai in a):
         raise PreconditionError("vector entries must be strictly positive")
-    if (grid.nmax + 1) ** len(a) > grid.cell_cap:
+    if (grid.nmax + 1) ** len(a) > DEFAULT_CELL_CAP:
         raise CapExceeded(
-            f"grid of {(grid.nmax + 1) ** len(a)} cells exceeds cap {grid.cell_cap}"
+            f"grid of {(grid.nmax + 1) ** len(a)} cells exceeds cap {DEFAULT_CELL_CAP}"
         )
 
 
@@ -361,8 +360,8 @@ def fa_grid_report(
     # k*max(a) + n stays in the window only for k <= (h - 1) // max(a), so no
     # cell is known at any k past that: the tables stop there
     rows = min(grid.kmax, (h - 1) // max(a))
-    if rows * span > grid.cell_cap:
-        raise CapExceeded(f"k tables of {rows} x {span} entries exceed cap {grid.cell_cap}")
+    if rows * span > DEFAULT_CELL_CAP:
+        raise CapExceeded(f"k tables of {rows} x {span} entries exceed cap {DEFAULT_CELL_CAP}")
     ok_tables, known_tables = [], []
     for ai in a:
         ok = np.zeros((rows, span), dtype=bool)
@@ -515,8 +514,8 @@ def finfty_grid_report(
     span, work = grid.nmax + 1, 0
     for i in range(1, m_max + 1):
         work += i * (1 + min(grid.kmax, (s.horizon - 1) // i) * span) + span**i
-        if work > grid.cell_cap:
-            raise CapExceeded(f"staircase of {m_max} levels exceeds cap {grid.cell_cap}")
+        if work > DEFAULT_CELL_CAP:
+            raise CapExceeded(f"staircase of {m_max} levels exceeds cap {DEFAULT_CELL_CAP}")
     level = fa_grid_report if which == "fa" else fsa_grid_report
     levels = [level(s, tuple(range(1, i + 1)), grid, rule) for i in range(1, m_max + 1)]
     ranks = [VERDICT_RANK[rep.verdict] for rep in levels]

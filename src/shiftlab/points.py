@@ -16,6 +16,7 @@ forward iterates, and admissibility is translation invariant.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -46,14 +47,11 @@ CHAMPERNOWNE_CAP = 16
 class GeneratedPoint(Record):
     """A one-sided prefix plus the record of how it was laid down.
 
-    ``occurrence`` maps each enumerated word to the position where it was
-    placed; every admissible word of length <= ``scale`` occurs there.
     ``build_log`` is the (word, spacer) sequence, sufficient to replay the
     construction.  Points compare by identity.
     """
 
     bits: np.ndarray
-    occurrence: dict[str, int]
     build_log: tuple[tuple[str, int], ...]
     scale: int
     rule_literal: str
@@ -66,6 +64,14 @@ class GeneratedPoint(Record):
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    @cached_property
+    def occurrence(self) -> dict[str, int]:
+        """Each logged word and the position where it was placed; every
+        admissible word of length <= ``scale`` occurs there."""
+        log = self.build_log
+        starts = itertools.accumulate((g + len(w) for w, g in log), initial=0)
+        return {w: at + g for (w, g), at in zip(log, starts)}
 
     def prefix_string(self) -> str:
         return (self.bits.view(np.uint8) + np.uint8(ord("0"))).tobytes().decode("ascii")
@@ -80,9 +86,8 @@ def champernowne(l_max: int, cap: int = CHAMPERNOWNE_CAP) -> GeneratedPoint:
     blocks = [admissible_rows(FullShift(), n, cap) for n in range(1, l_max + 1)]
     texts = [text for b in blocks for text in row_texts(b)]
     bits = np.concatenate([b.ravel() for b in blocks])
-    occurrence = dict(zip(texts, itertools.accumulate(map(len, texts), initial=0)))
     log = tuple(zip(texts, [0] * len(texts)))
-    return GeneratedPoint(bits, occurrence, log, l_max, "full()", g_max=0)
+    return GeneratedPoint(bits, log, l_max, "full()", g_max=0)
 
 
 def _spacer_candidates(
@@ -149,14 +154,12 @@ def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> Generated
     anchors = np.zeros(sum(g_max + len(t) for t, _ in table) if ratio else 0, dtype=bool)
     ones = np.zeros(sum(x.size for _, x in table), dtype=np.int64)
     placed = length = 0
-    occurrence: dict[str, int] = {}
     log: list[tuple[str, int]] = []
     for text, xs in table:
         g = _spacer_candidates(rule, ones[:placed], length, xs, len(text), g_max, anchors)
         if g is None:
             raise SpacerExhausted(text, g_max)
         base = length + g
-        occurrence[text] = base
         log.append((text, g))
         ones[placed : placed + xs.size] = xs + base
         placed += xs.size
@@ -168,9 +171,7 @@ def build_transitive_point(rule: ShiftRule, l_max: int, g_max: int) -> Generated
         length = base + len(text)
     bits = np.zeros(length, dtype=bool)
     bits[ones] = True
-    point = GeneratedPoint(
-        bits, occurrence, tuple(log), l_max, rule.literal(), g_max=g_max
-    )
+    point = GeneratedPoint(bits, tuple(log), l_max, rule.literal(), g_max=g_max)
     # re-verify on the full prefix rather than trusting incremental checks
     if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise AssertionError("greedy construction produced an inadmissible prefix")
@@ -182,21 +183,12 @@ def periodic_point(rule: ShiftRule, w: Word, min_length: int) -> GeneratedPoint:
     if min_length < 1:
         raise ConfigError("min_length must be >= 1")
     reps = -(-min_length // w.length) + 1
-    bits = np.zeros(reps * w.length, dtype=bool)
-    for i in w.ones:
-        bits[i :: w.length] = True
+    bits = np.tile(w.row, reps)
     if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise PreconditionError(
             f"word {w} does not generate an admissible periodic point"
         )
-    return GeneratedPoint(
-        bits,
-        {str(w): 0},
-        (),
-        0,
-        rule.literal(),
-        period=w.length,
-    )
+    return GeneratedPoint(bits, ((str(w), 0),), 0, rule.literal(), period=w.length)
 
 
 def entering_window(
@@ -212,12 +204,9 @@ def entering_window(
             f"prefix of length {len(point.bits)} only covers H <= "
             f"{len(point.bits) - u.length}"
         )
-    target = np.zeros(u.length, dtype=bool)
-    if u.ones:
-        target[list(u.ones)] = True
     ok = np.ones(h, dtype=bool)
-    for i in range(u.length):
-        ok &= point.bits[1 + i : 1 + i + h] == target[i]
+    for i, bit in enumerate(u.row):
+        ok &= point.bits[1 + i : 1 + i + h] == bit
     mask = np.concatenate(([False], ok))
     return WindowedSet.from_mask(mask)
 
@@ -262,16 +251,8 @@ def decode_point(payload: dict) -> GeneratedPoint:
     if (ends < 0).any() or (int(ends[-1]) if ends.size else 0) != length:
         raise ConfigError("corrupt point payload: run lengths do not add up")
     bits = np.repeat(np.arange(runs.size) % 2 == 1, runs)
-    starts = itertools.accumulate((g + len(w) for w, g in log), initial=0)
-    occurrence = {w: at + g for (w, g), at in zip(log, starts)}
     point = GeneratedPoint(
-        bits,
-        occurrence,
-        log,
-        scale,
-        payload["rule"],
-        g_max=payload.get("g_max"),
-        period=payload.get("period"),
+        bits, log, scale, payload["rule"], g_max=payload.get("g_max"), period=payload.get("period")
     )
     if not _positions_admissible(rule, np.flatnonzero(bits)):
         raise ConfigError("corrupt point payload: prefix is not admissible")

@@ -28,6 +28,7 @@ once by slicing the rule's gap mask.  A single window is the batch of one.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +84,14 @@ class Word(Record):
         for i in self.ones:
             bits[i] = "1"
         return "".join(bits)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The word as a read-only bool row."""
+        row = np.zeros(self.length, dtype=bool)
+        row[list(self.ones)] = True
+        row.setflags(write=False)
+        return row
 
 
 class Cylinder(Record):
@@ -329,25 +338,26 @@ def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_placements(
-    rule: ShiftRule, coefs: Sequence[int], cylinders: Sequence[Cylinder], tuples: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """Check a batch once; returns its template, (coef, offset, length) per placement."""
-    if not len(coefs):
+    rule: ShiftRule, placements: Sequence[tuple[int, int, np.ndarray]]
+) -> None:
+    """Check a batch's placements once, each distinct rows array once."""
+    if not placements:
         raise PreconditionError("at least one placement required")
-    if min(coefs) < 0:
+    if min(coef for coef, _, _ in placements) < 0:
         raise PreconditionError("placement coefficients must be >= 0")
-    for c in cylinders:
-        if rule.sidedness == ONE_SIDED and c.offset != 0:
+    checked = set()
+    for _, offset, rows in placements:
+        if rule.sidedness == ONE_SIDED and offset != 0:
             raise PreconditionError("one-sided rules require cylinder offset 0")
-        if not is_admissible(rule, c.word):
-            raise PreconditionError(f"cylinder word {c.word} is not admissible")
-    if not any(coefs):
+        if id(rows) not in checked:
+            checked.add(id(rows))
+            bad = np.flatnonzero(_dense_violations(rule, rows, set(range(rows.shape[1]))))
+            if bad.size:
+                raise PreconditionError(
+                    f"cylinder word {row_texts(rows[bad[:1]])[0]} is not admissible"
+                )
+    if not any(coef for coef, _, _ in placements):
         raise PreconditionError("at least one placement must move with n")
-    shapes = [(c.offset, c.word.length) for c in cylinders]
-    used = [{shapes[i] for i in set(col.tolist())} for col in tuples.T]
-    if any(len(u) > 1 for u in used):
-        raise PreconditionError("the cylinders of a placement need one offset and length")
-    return [(int(coef), *u.pop()) for coef, u in zip(coefs, used)]
 
 
 def _strike(ok: np.ndarray, lo: int, num: np.ndarray, coef: np.ndarray | int) -> None:
@@ -398,15 +408,15 @@ def _present(held: np.ndarray, groups: list[list[tuple[int, int, int]]]) -> np.n
 
 def hitting_batches(
     rule: ShiftRule,
-    coefs: Sequence[int],
-    cylinders: Sequence[Cylinder],
+    placements: Sequence[tuple[int, int, np.ndarray]],
     tuples: np.ndarray | Sequence[Sequence[int]],
     h: int,
 ) -> Iterator[tuple[int, np.ndarray, Callable[[int], HitAnalysis]]]:
     """Hitting windows of many tuples placed alike, one chunk of tuples at a time.
 
-    Row t of ``tuples`` places ``cylinders[tuples[t, j]]`` at ``coefs[j] * n``;
-    the cylinders of one column share an offset and a length.  Yields
+    Placement j is ``(coef, offset, rows)``, with ``rows`` a (W, l) bool array
+    of words; row t of ``tuples`` places ``rows[tuples[t, j]]`` at
+    ``offset + coef * n``.  Yields
     ``(start, masks, analysis)``: ``masks[i]`` is the window over [0, H] of
     tuple ``start + i`` (n such that the superposition at n is admissible;
     exact by zero-fill) and ``analysis(i)`` its HitAnalysis.  The masks share
@@ -415,11 +425,9 @@ def hitting_batches(
     if h < 1:
         raise HorizonExhausted("horizon must be >= 1")
     tuples = np.asarray(tuples, dtype=np.int64)
-    template = _validate_placements(rule, coefs, cylinders, tuples)
+    _validate_placements(rule, placements)
+    template = [(int(coef), int(offset), rows.shape[1]) for coef, offset, rows in placements]
     ratio = rule.ratio
-    words = np.zeros((len(cylinders), max(c.word.length for c in cylinders)), dtype=bool)
-    for row, c in zip(words, cylinders):
-        row[list(c.word.ones)] = True
     # past n_star groups with different coefficients are disjoint and ordered
     n_star = 1
     for (ci, oi, li), (cj, oj, _) in itertools.combinations(sorted(template), 2):
@@ -479,11 +487,11 @@ def hitting_batches(
     key_cols = np.concatenate((np.flatnonzero(reach), np.arange(len(points)) + len(items)))
     item_c, item_d = item_c[reach], item_d[reach]
     scratch = max([w for _, _, w, _ in steps] + [sum(map(len, groups))])
-    rows = chunk_rows(h + 1 + len(cand) + scratch)
-    buffer = np.zeros((min(rows, len(tuples)), h + 1), dtype=bool)
-    for start in range(0, len(tuples), rows):
-        idx = tuples[start : start + rows]
-        placed = [words[idx[:, j], :l] for j, (_, _, l) in enumerate(template)]
+    chunk = chunk_rows(h + 1 + len(cand) + scratch)
+    buffer = np.zeros((min(chunk, len(tuples)), h + 1), dtype=bool)
+    for start in range(0, len(tuples), chunk):
+        idx = tuples[start : start + chunk]
+        placed = [rows[idx[:, j]] for j, (_, _, rows) in enumerate(placements)]
         masks = buffer[: len(idx)]
         if start:
             masks[:] = False
@@ -539,8 +547,8 @@ def linear_hitting(
 
     The batch of one of :func:`hitting_batches`.
     """
-    coefs, cylinders = [c for c, _ in placements], [cy for _, cy in placements]
-    ((_, masks, analysis),) = hitting_batches(rule, coefs, cylinders, [range(len(coefs))], h)
+    columns = [(coef, c.offset, c.word.row[None]) for coef, c in placements]
+    ((_, masks, analysis),) = hitting_batches(rule, columns, [[0] * len(columns)], h)
     return WindowedSet.from_mask(masks[0]), analysis(0)
 
 

@@ -228,7 +228,7 @@ def test_criterion_07_orbit_closure_agreement():
     with criterion(7, "orbit closure equivalence agrees tuple-by-tuple"):
         full = verify_orbit_closure_prop(FullShift(), (1, 2, 3), 2, 10**4)
         assert full.agree
-        assert len(full.table) == 64
+        assert len(full.lhs) == 64
         dyadic = verify_orbit_closure_prop(
             Spacing(DyadicBlocks()), (2, 3), 1, 10**4
         )

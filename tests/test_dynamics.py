@@ -48,7 +48,6 @@ from shiftlab.dynamics import (
     check_delta_a_transitive,
     check_transitive,
     point_diagnostic,
-    sweep_cylinders,
     verify_delta_product,
     verify_nuv,
     verify_nuv_pairs,
@@ -62,6 +61,18 @@ def hitting_window(rule, u, v, h):
     """N([u],[v]) on [1, h]: the batch of one that places u at 0 and v at n."""
     window, _ = linear_hitting(rule, [(0, u), (1, v)], h)
     return window
+
+
+def sweep_cylinders(rule, length):
+    """Admissible length-l cylinders in lex order; centered when two-sided."""
+    offset = -((length - 1) // 2) if rule.sidedness == "two-sided" else 0
+    return [Cylinder(w, offset) for w in enumerate_admissible_words(rule, length)]
+
+
+def placed(coefs, cylinders):
+    """The hitting_batches placements of one word column per coefficient."""
+    rows = np.array([c.word.row for c in cylinders])
+    return [(c, cylinders[0].offset, rows) for c in coefs]
 
 
 def evens_rule():
@@ -200,11 +211,11 @@ def test_mask_ids_map_every_tuple_to_its_window(text, length, strides, product, 
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(subshift, "chunk_rows", lambda row_bytes: rows)
-        packed, ids, read = _mask_ids(rule, coords, cylinders, tuples, h)
+        packed, ids, read = _mask_ids(rule, [placed(c, cylinders) for c in coords], tuples, h)
     assert ids.shape == (len(coords), len(tuples))
     assert len({row.tobytes() for row in packed}) == len(packed)
     for i, coefs in enumerate(coords):
-        for start, batch, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+        for start, batch, analysis in hitting_batches(rule, placed(coefs, cylinders), tuples, h):
             for j, mask in enumerate(batch):
                 unpacked = np.unpackbits(packed[ids[i, start + j]], count=h + 1)
                 assert np.array_equal(unpacked.astype(bool), mask)
@@ -285,7 +296,7 @@ def first_run(mask, run):
 def tuple_windows(rule, coefs, cylinders, tuples, h):
     """(mask, analysis) of every tuple, copied out of the kernel's chunks."""
     out = []
-    for _, masks, analysis in hitting_batches(rule, coefs, cylinders, tuples, h):
+    for _, masks, analysis in hitting_batches(rule, placed(coefs, cylinders), tuples, h):
         out += [(masks[i].copy(), analysis(i)) for i in range(len(masks))]
     return out
 
@@ -563,7 +574,7 @@ def test_nuv_pairs_preconditions_match_verify_nuv():
 def test_nuv_stray_difference_is_a_kernel_bug(monkeypatch):
     import shiftlab.dynamics as dynamics
 
-    def empty_windows(rule, coefs, cylinders, tuples, h):
+    def empty_windows(rule, placements, tuples, h):
         yield 0, np.zeros((len(tuples), h + 1), dtype=bool), None
 
     monkeypatch.setattr(dynamics, "hitting_batches", empty_windows)
@@ -598,7 +609,7 @@ def test_orbit_closure_full_shift():
     rep = verify_orbit_closure_prop(FullShift(), (1, 2, 3), 2, 10**4)
     assert rep.agree
     assert rep.a_prime == (1, 2)
-    assert len(rep.table) == 64
+    assert len(rep.lhs) == len(rep.rhs) == 64
 
 
 def test_orbit_closure_dyadic_23():
@@ -610,8 +621,8 @@ def test_orbit_closure_dyadic_23():
 def test_orbit_closure_dyadic_124_consistency_probe():
     rep = verify_orbit_closure_prop(dyadic_rule(), (1, 2, 4), 1, 10**4)
     assert rep.agree
-    row = next(o for o in rep.table if o.words == ("1", "1", "1"))
-    assert row.lhs is None and row.rhs is None
+    t = next(t for t, o in enumerate(rep.lhs) if o.words == ("1", "1", "1"))
+    assert rep.lhs[t].witness is None and rep.rhs[t].witness is None
 
 
 def test_orbit_closure_two_sided_centered():
@@ -825,13 +836,33 @@ def test_sweep_report_rejects_unknown_verdict():
         SweepReport("full()", "x", {}, "Maybe", (), None)
 
 
-def test_sweep_cylinders_centering():
-    one_sided = sweep_cylinders(FullShift(), 3)
-    assert all(c.offset == 0 for c in one_sided)
-    two_sided = sweep_cylinders(TripleRatio(3), 3)
-    assert all(c.offset == -1 for c in two_sided)
-    lengths = [str(c.word) for c in two_sided]
-    assert lengths == sorted(lengths)
+def test_sweep_rows_centering():
+    rows, offset = dynamics._sweep_rows(FullShift(), 3)
+    assert offset == 0 and len(rows) == 8
+    rows, offset = dynamics._sweep_rows(TripleRatio(3), 3)
+    assert offset == -1
+    words = subshift.row_texts(rows)
+    assert words == [str(w) for w in enumerate_admissible_words(TripleRatio(3), 3)]
+    assert words == sorted(words)
+
+
+@pytest.mark.parametrize("text", ["full()", "tripleratio(3)"])
+def test_sweeps_build_no_word(text, monkeypatch):
+    # sweeps hand the kernel word rows: none of them boxes a word as a Word
+    sweeps = [
+        lambda rule: check_transitive(rule, 3, 64, "plain"),
+        lambda rule: check_a_transitive(rule, (1, 2), 3, 64),
+        lambda rule: check_delta_a_transitive(rule, (1, 2), 3, 64),
+        lambda rule: verify_delta_product(rule, (1, 2), 1, 3, 64),
+        lambda rule: verify_orbit_closure_prop(rule, (1, 2, 3), 3, 64),
+    ]
+    want = [sweep(parse_shift_rule(text)) for sweep in sweeps]
+
+    def boxed(self):
+        raise AssertionError(f"a sweep built the word {self.ones} of length {self.length}")
+
+    monkeypatch.setattr(Word, "__post_init__", boxed)
+    assert [sweep(parse_shift_rule(text)) for sweep in sweeps] == want
 
 
 def test_reports_deterministic_across_runs():

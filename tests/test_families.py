@@ -277,7 +277,8 @@ def test_fa_validation():
     with pytest.raises(ConfigError):
         fa_grid_report(s, (1,), GridParams(kmax=0))
     with pytest.raises(CapExceeded):
-        fa_grid_report(s, (1, 1, 1), GridParams(nmax=9, kmax=1, cell_cap=500))
+        # 101^3 = 1,030,301 cells: refused before any table is allocated
+        fa_grid_report(s, (1, 1, 1), GridParams(nmax=100, kmax=1))
     with pytest.raises(ConfigError):
         GridParams(nmax=-1)
 

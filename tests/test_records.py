@@ -114,7 +114,7 @@ def test_pair_mask_is_cached_on_the_rule():
 
 
 def test_generated_point_bits_are_read_only():
-    point = GeneratedPoint(np.array([True, False]), {"1": 0}, (("1", 0),), 1, "full()")
+    point = GeneratedPoint(np.array([True, False]), (("1", 0),), 1, "full()")
     assert not point.bits.flags.writeable
     assert (point.g_max, point.period) == (None, None)
 

@@ -19,11 +19,7 @@ from shiftlab.errors import (
     PreconditionError,
 )
 from shiftlab import subshift
-from shiftlab.dynamics import (
-    check_a_transitive,
-    check_delta_a_transitive,
-    sweep_cylinders,
-)
+from shiftlab.dynamics import check_a_transitive, check_delta_a_transitive
 from shiftlab.intset import (
     ArithmeticProgression,
     DifferenceOf,
@@ -58,6 +54,12 @@ SHIFT1 = Spacing(Translate(Naturals(), 1))
 
 def cyl(text, offset=0):
     return Cylinder(Word.from_string(text), offset)
+
+
+def sweep_cylinders(rule, length):
+    """Admissible length-l cylinders in lex order; centered when two-sided."""
+    offset = -((length - 1) // 2) if rule.sidedness == "two-sided" else 0
+    return [Cylinder(w, offset) for w in enumerate_admissible_words(rule, length)]
 
 
 def hitting_window(rule, u, v, h):
@@ -621,33 +623,58 @@ def test_affine_gap_window_matches_direct_scan(name, starts, lo, width, excluded
     st.integers(min_value=1, max_value=20),
     st.sampled_from([1, 3]),
     st.randoms(use_true_random=False),
+    st.data(),
 )
-def test_batch_rows_equal_batches_of_one(name, length, a, h, rows, rnd):
+def test_batch_rows_equal_batches_of_one(name, length, a, h, rows, rnd, data):
     rule = RULES[name]
-    cylinders = sweep_cylinders(rule, length)
     coefs = (0, *a)
-    tuples = list(itertools.product(range(len(cylinders)), repeat=len(coefs)))
+    # one length for every column, or a length per column (each column of a
+    # two-sided rule centered on its own length)
+    mixed = st.lists(st.integers(1, 4), min_size=len(coefs), max_size=len(coefs))
+    lengths = data.draw(st.just([length] * len(coefs)) | mixed)
+    columns = [sweep_cylinders(rule, n) for n in lengths]
+    placements = [
+        (c, col[0].offset, np.array([x.word.row for x in col])) for c, col in zip(coefs, columns)
+    ]
+    tuples = list(itertools.product(*(range(len(col)) for col in columns)))
     picked = rnd.sample(tuples, min(len(tuples), rnd.randint(1, 10)))
     got = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subshift, "chunk_rows", lambda row_bytes: rows)
-        batches = subshift.hitting_batches(rule, coefs, cylinders, picked, h)
+        batches = subshift.hitting_batches(rule, placements, picked, h)
         for start, masks, analysis in batches:
             assert start % rows == 0 and len(masks) == min(rows, len(picked) - start)
             for i, mask in enumerate(masks):
                 got[picked[start + i]] = (mask.tolist(), analysis(i))
     assert len(got) == len(picked)
-    # past n_star the placed words of different coefficients never overlap
-    n_star = max((length - 1) // (cj - ci) + 1 for ci, cj in itertools.combinations(coefs, 2))
+    # n_star: the least n >= 1 from which on the placed words of different
+    # coefficients never overlap, and lie in coefficient order
+    blocks = [(c, col[0].offset, n) for c, col, n in zip(coefs, columns, lengths)]
+    n_star = next(
+        m for m in itertools.count(1)
+        if all(oi + ci * m + li <= oj + cj * m
+               for (ci, oi, li), (cj, oj, _) in itertools.combinations(blocks, 2))
+    )
     for tup in sorted(picked):
-        placements = [(c, cylinders[w]) for c, w in zip(coefs, tup)]
+        placements = [(c, col[w]) for c, col, w in zip(coefs, columns, tup)]
         window, analysis = linear_hitting(rule, placements, h)
         assert got[tup] == (window.mask.tolist(), analysis)
         assert analysis.n_star == min(n_star, h)
-        if len(a) == 1 and a[0] * h <= 12:
-            u, v = (str(cylinders[w].word) for w in tup)
+        if len(a) == 1 and a[0] * h <= 12 and blocks[0][1] == blocks[1][1]:
+            u, v = (str(col[w].word) for col, w in zip(columns, tup))
             hits = oracle_hitting(name, u, v, a[0] * h)
             assert set(window) == {n for n in range(1, h + 1) if a[0] * n in hits}
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_batch_rejects_an_inadmissible_row_in_any_column(column):
+    # "101" spans the gap 2, which tripleratio(3) allows; "11" spans the forbidden gap 1
+    good = np.array([[False, False], [True, False]])
+    bad = np.array([[True, False, True], [False, True, True], [True, True, False]])
+    placements = [(c, 0, good) for c in (0, 1, 2)]
+    placements[column] = (column, -1, bad)
+    with pytest.raises(PreconditionError, match="cylinder word 011 is not admissible"):
+        next(subshift.hitting_batches(TR3, placements, [[0, 0, 0]], 8))
 
 
 def _proof(outcome) -> dict | None:
