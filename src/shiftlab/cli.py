@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,8 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
             )
         except (FileNotFoundError, KeyError, TypeError, ValueError):
             fits = False  # a missing, truncated or foreign entry is a miss: rebuild it
+        except OSError as exc:  # a file where the directory should be, a directory as entry
+            raise ConfigError(f"unusable --cache-dir: {exc}") from None
         if fits:
             try:
                 return decode_point(payload)
@@ -206,12 +209,19 @@ def _cached_point(config: RunConfig, rule) -> GeneratedPoint:
                 pass  # and so is a corrupt one
     point = build_transitive_point(rule, config.pointlen, config.spacer_max)
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        # write beside the entry and rename, so readers never see a partial file
-        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(encode_point(point), separators=(",", ":")))
-        os.replace(tmp, cache_path)
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            # write beside the entry and rename, so readers never see a partial file
+            fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as f:
+                    f.write(json.dumps(encode_point(point), separators=(",", ":")))
+                os.replace(tmp, cache_path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise ConfigError(f"unusable --cache-dir: {exc}") from None
     return point
 
 
@@ -366,50 +376,74 @@ def _step(name: str, expected: str, report: dict) -> dict:
     }
 
 
-def _preset_spacing_23(_: int | None) -> list[dict]:
-    cfg = RunConfig(
-        "check", rule="spacing(dyadic())", vector=(2, 3), wordlen=4, horizon=20000
-    )
-    return [_step("multi (2,3) on 4-words", WITNESSED, _run_check(cfg))]
+# preset -> its steps as (step name, expected verdict, argv); {p} stands for
+# the preset's argument, and the argv is split on whitespace
+PRESET_STEPS = {
+    "example-spacing-23": [
+        ("multi (2,3) on 4-words", WITNESSED,
+         "check --rule spacing(dyadic()) --vector 2,3 --wordlen 4 --horizon 20000"),
+    ],
+    "example-delta-p": [
+        ("delta (1,2) centered 3-words", WITNESSED,
+         "check --rule tripleratio({p}) --vector 1,2 --delta --wordlen 3 --horizon 10000"),
+        ("delta (1,{p}) on ones", FAILS_ON_WINDOW,
+         "check --rule tripleratio({p}) --vector 1,{p} --delta --wordlen 1 --horizon 1000000"),
+    ],
+    "lemma-nuv": [
+        ("hitting equals entering differences", WITNESSED,
+         "verify --rule full() --prop nuv --point champernowne --pointlen 8 --wordlen 3 "
+         "--horizon 4096 --hcmp 512"),
+    ],
+    "thm-wm-point": [
+        ("full shift: thick differences", WITNESSED,
+         "diagnose --rule full() --point champernowne --pointlen 13 "
+         "--family nabla(thick(16)) --wordlen 2 --horizon 100000"),
+        ("evens: no 2-run in differences", UNDETERMINED,
+         "diagnose --rule spacing(evens()) --point greedy --pointlen 8 --spacer-max 64 "
+         "--family nabla(thick(2)) --wordlen 1 --horizon 644"),
+    ],
+    "prop-orbit-closure": [
+        ("full shift a=(1,2,3)", WITNESSED,
+         "verify --rule full() --prop orbit-closure --vector 1,2,3 --wordlen 2 --horizon 10000"),
+        ("dyadic a=(2,3)", WITNESSED,
+         "verify --rule spacing(dyadic()) --prop orbit-closure --vector 2,3 --wordlen 1 "
+         "--horizon 10000"),
+    ],
+    "prop-delta-product": [
+        ("product a=(2,5), n=2", WITNESSED,
+         "verify --rule full() --prop delta-product --vector 2,5 --depth 2 --wordlen 2 "
+         "--horizon 10000"),
+        ("product a=(1,2), n=3", WITNESSED,
+         "verify --rule full() --prop delta-product --vector 1,2 --depth 3 --wordlen 2 "
+         "--horizon 10000"),
+    ],
+    "thm-multimin-diag": [  # the 2-cycle step has no CLI form; _preset_multimin_diag adds it
+        ("fixed point: syndetic carriers", WITNESSED,
+         "diagnose --rule full() --point periodic:0 --family fsa(1,2,3;2,1) --wordlen 1 "
+         "--horizon 100 --cylinder 0"),
+    ],
+}
+
+
+def _run_steps(rows: list[tuple[str, str, str]], p: int | None = None) -> list[dict]:
+    """Each row's argv, parsed by `main`'s parser and run by its command's function."""
+    steps = []
+    for name, expected, argv in rows:
+        config = _config_from_args(_parser().parse_args(argv.format(p=p).split()))
+        steps.append(_step(name.format(p=p), expected, _COMMANDS[config.command](config)))
+    return steps
 
 
 def _preset_delta_p(p: int | None) -> list[dict]:
     if p is None or p <= 2:
         raise ShiftLabError("example-delta-p needs an integer argument > 2")
-    rule = f"tripleratio({p})"
-    pos = RunConfig(
-        "check", rule=rule, vector=(1, 2), delta=True, wordlen=3, horizon=10**4
-    )
-    neg = RunConfig(
-        "check", rule=rule, vector=(1, p), delta=True, wordlen=1, horizon=10**6
-    )
-    return [
-        _step("delta (1,2) centered 3-words", WITNESSED, _run_check(pos)),
-        _step(f"delta (1,{p}) on ones", FAILS_ON_WINDOW, _run_check(neg)),
-    ]
+    return _run_steps(PRESET_STEPS["example-delta-p"], p)
 
 
-def _preset_lemma_nuv(_: int | None) -> list[dict]:
-    cfg = RunConfig(
-        "verify", rule="full()", prop="nuv", point="champernowne", pointlen=8,
-        wordlen=3, horizon=4096, hcmp=512,
-    )
-    return [_step("hitting equals entering differences", WITNESSED, _run_verify(cfg))]
-
-
-def _preset_wm_point(_: int | None) -> list[dict]:
-    full = RunConfig(
-        "diagnose", rule="full()", point="champernowne", pointlen=13,
-        family="nabla(thick(16))", wordlen=2, horizon=10**5,
-    )
-    evens = RunConfig(
-        "diagnose", rule="spacing(evens())", point="greedy", pointlen=8,
-        spacer_max=64, family="nabla(thick(2))", wordlen=1, horizon=644,
-    )
-    return [
-        _step("full shift: thick differences", WITNESSED, _run_diagnose(full)),
-        _step("evens: no 2-run in differences", UNDETERMINED, _run_diagnose(evens)),
-    ]
+def _report_step(name: str, expected: str, rep) -> dict:
+    """A step from a library report that no argv reaches; it counts one tuple."""
+    certificates = [rep.certificate] if rep.certificate else []
+    return _step(name, expected, _assemble({}, rep.verdict, rep.witness, certificates, 1))
 
 
 def _preset_fa_parity(_: int | None) -> list[dict]:
@@ -419,93 +453,31 @@ def _preset_fa_parity(_: int | None) -> list[dict]:
     naturals = materialize(Naturals(), 4096)
     for a in ((1, 2), (1, 3), (2, 4), (1, 3, 5)):
         rep = fa_structural_refute_even(a)
-        report = _assemble(
-            {"command": "families", "vector": list(a)},
-            rep.verdict,
-            rep.witness,
-            [rep.certificate] if rep.certificate else [],
-            1,
-        )
-        steps.append(_step(f"evens excluded for {a}", REFUTED, report))
-        grid_rep = fa_grid_report(naturals, a, GridParams(nmax=2, kmax=64))
-        grid_report = _assemble(
-            {"command": "families", "vector": list(a), "set": "naturals"},
-            grid_rep.verdict,
-            {"max_k": grid_rep.witness["max_k"], "cells": grid_rep.witness["cells"]},
-            [],
-            grid_rep.witness["cells"],
-        )
-        steps.append(_step(f"naturals witnessed for {a}", WITNESSED, grid_report))
+        steps.append(_report_step(f"evens excluded for {a}", REFUTED, rep))
+        grid = fa_grid_report(naturals, a, GridParams(nmax=2, kmax=64))
+        cells = grid.witness["cells"]
+        witnesses = {"max_k": grid.witness["max_k"], "cells": cells}
+        report = _assemble({}, grid.verdict, witnesses, [], cells)
+        steps.append(_step(f"naturals witnessed for {a}", WITNESSED, report))
     return steps
 
 
-def _preset_orbit_closure(_: int | None) -> list[dict]:
-    full = RunConfig(
-        "verify", rule="full()", prop="orbit-closure", vector=(1, 2, 3),
-        wordlen=2, horizon=10**4,
-    )
-    dyadic = RunConfig(
-        "verify", rule="spacing(dyadic())", prop="orbit-closure", vector=(2, 3),
-        wordlen=1, horizon=10**4,
-    )
-    return [
-        _step("full shift a=(1,2,3)", WITNESSED, _run_verify(full)),
-        _step("dyadic a=(2,3)", WITNESSED, _run_verify(dyadic)),
-    ]
-
-
-def _preset_delta_product(_: int | None) -> list[dict]:
-    wide = RunConfig(
-        "verify", rule="full()", prop="delta-product", vector=(2, 5), depth=2,
-        wordlen=2, horizon=10**4,
-    )
-    deep = RunConfig(
-        "verify", rule="full()", prop="delta-product", vector=(1, 2), depth=3,
-        wordlen=2, horizon=10**4,
-    )
-    return [
-        _step("product a=(2,5), n=2", WITNESSED, _run_verify(wide)),
-        _step("product a=(1,2), n=3", WITNESSED, _run_verify(deep)),
-    ]
-
-
 def _preset_multimin_diag(_: int | None) -> list[dict]:
-    fixed = RunConfig(
-        "diagnose", rule="full()", point="periodic:0", family="fsa(1,2,3;2,1)",
-        wordlen=1, horizon=100, cylinders=("0",),
-    )
-    steps = [_step("fixed point: syndetic carriers", WITNESSED, _run_diagnose(fixed))]
-
+    steps = _run_steps(PRESET_STEPS["thm-multimin-diag"])
     cycle = periodic_point(FullShift(), Word.from_string("10"), 203)
     window = entering_window(FullShift(), cycle, Word.from_string("1"), 100)
     rep = fsa_grid_report(
         window, (1, 2), GridParams(nmax=2, g=1), rule=ArithmeticProgression(2, 2)
     )
-    report = _assemble(
-        {
-            "command": "families",
-            "point": "periodic:10",
-            "cylinder": "1",
-            "vector": [1, 2],
-        },
-        rep.verdict,
-        rep.witness,
-        [rep.certificate] if rep.certificate else [],
-        1,
-    )
-    steps.append(_step("2-cycle: cell (0,1) impossible", REFUTED, report))
-    return steps
+    return steps + [_report_step("2-cycle: cell (0,1) impossible", REFUTED, rep)]
 
 
+# preset -> a function of the preset's argument that returns its steps
 PRESETS = {
-    "example-spacing-23": _preset_spacing_23,
-    "example-delta-p": _preset_delta_p,
-    "lemma-nuv": _preset_lemma_nuv,
-    "thm-wm-point": _preset_wm_point,
+    **{name: partial(_run_steps, rows) for name, rows in PRESET_STEPS.items()},
+    "example-delta-p": _preset_delta_p,  # checks p, then runs its rows
     "fa-parity": _preset_fa_parity,
-    "prop-orbit-closure": _preset_orbit_closure,
-    "prop-delta-product": _preset_delta_product,
-    "thm-multimin-diag": _preset_multimin_diag,
+    "thm-multimin-diag": _preset_multimin_diag,  # its row, then the 2-cycle step
 }
 
 
@@ -521,6 +493,8 @@ def _run_reproduce(config: RunConfig) -> tuple[dict, int]:
             f"unknown preset {config.preset!r}; choose from "
             + ", ".join(sorted(PRESETS))
         )
+    if config.preset_arg is not None and config.preset != "example-delta-p":
+        raise ShiftLabError(f"preset {config.preset!r} takes no argument")
     steps = PRESETS[config.preset](config.preset_arg)
     ok = all(s["verdict"] == s["expected"] for s in steps)
     report = {
@@ -577,20 +551,24 @@ def _expectation_status(config: RunConfig, verdict: str) -> int:
     return 0 if failed else 1
 
 
+# command -> the function that builds its report; each lambda looks its
+# function up when called, so a wrapper bound over the module attribute
+# (perfbench's tracer) sees preset steps as well as `main`
+_COMMANDS = {
+    "check": lambda config: _run_check(config),
+    "diagnose": lambda config: _run_diagnose(config),
+    "verify": lambda config: _run_verify(config),
+}
+
+
 def run_config(config: RunConfig) -> tuple[dict, int]:
     """Dispatch one configuration; returns (report, exit status)."""
     started = time.monotonic()
-    if config.command == "check":
-        report = _run_check(config)
-        status = _expectation_status(config, report["verdict"])
-    elif config.command == "diagnose":
-        report = _run_diagnose(config)
-        status = _expectation_status(config, report["verdict"])
-    elif config.command == "verify":
-        report = _run_verify(config)
-        status = _expectation_status(config, report["verdict"])
-    elif config.command == "reproduce":
+    if config.command == "reproduce":
         report, status = _run_reproduce(config)
+    elif config.command in _COMMANDS:
+        report = _COMMANDS[config.command](config)
+        status = _expectation_status(config, report["verdict"])
     else:
         raise ShiftLabError(f"unknown command {config.command!r}")
     if config.timings:
@@ -675,15 +653,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
+_PARSER: argparse.ArgumentParser | None = None  # built on first use, shared by every parse
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    return _PARSER
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

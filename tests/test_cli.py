@@ -13,7 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import GOLDEN_DIR, PRESETS, RunConfig, main, render_json, run_config
+from shiftlab.cli import (
+    GOLDEN_DIR,
+    PRESET_STEPS,
+    PRESETS,
+    RunConfig,
+    main,
+    render_json,
+    run_config,
+)
 from shiftlab.errors import ShiftLabError
 
 
@@ -494,6 +502,43 @@ def test_point_cache_survives_bad_file(tmp_path, capsys):
         assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
+GREEDY_DIAGNOSE = (
+    "diagnose --rule full() --point greedy --pointlen 3 --family thick(2) --wordlen 1 "
+    "--horizon 30"
+).split()
+
+
+def assert_unusable_cache(result):
+    status, out, err = result
+    assert (status, out) == (2, "")
+    assert err.startswith("error: unusable --cache-dir: ") and err.count("\n") == 1
+
+
+def test_cache_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    assert_unusable_cache(run(capsys, *GREEDY_DIAGNOSE, "--cache-dir", str(cache)))
+    assert cache.read_text() == ""
+
+
+def test_cache_entry_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    assert run(capsys, *GREEDY_DIAGNOSE, "--cache-dir", str(tmp_path))[0] == 0
+    (entry,) = tmp_path.glob("point-*.json")
+    entry.unlink()
+    entry.mkdir()
+    assert_unusable_cache(run(capsys, *GREEDY_DIAGNOSE, "--cache-dir", str(tmp_path)))
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert_unusable_cache(run(capsys, *GREEDY_DIAGNOSE, "--cache-dir", str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: any argv from the grammar exits 0, 1 or 2 and never raises
 
@@ -726,8 +771,124 @@ def test_reproduce_unknown_preset(capsys):
 
 
 def test_reproduce_delta_p_needs_argument(capsys):
-    status, _, _ = run(capsys, "reproduce", "example-delta-p")
-    assert status == 2
+    for arg in ([], ["2"]):
+        status, out, err = run(capsys, "reproduce", "example-delta-p", *arg)
+        assert (status, out) == (2, "")
+        assert err == "error: example-delta-p needs an integer argument > 2\n"
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"example-delta-p"}))
+def test_preset_without_parameter_rejects_an_argument(tmp_path, capsys, monkeypatch, name):
+    from shiftlab import cli
+
+    shipped = sorted(GOLDEN_DIR.iterdir())
+    monkeypatch.setattr(cli, "GOLDEN_DIR", tmp_path)
+    for regen in ([], ["--regen-golden"]):
+        status, out, err = run(capsys, "reproduce", name, "5", *regen)
+        assert (status, out) == (2, "")
+        assert err == f"error: preset {name!r} takes no argument\n"
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(GOLDEN_DIR.iterdir()) == shipped
+
+
+def test_regen_golden_writes_the_shipped_bytes(tmp_path, capsys, monkeypatch):
+    from shiftlab import cli
+
+    shipped = {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()}
+    monkeypatch.setattr(cli, "GOLDEN_DIR", tmp_path)
+    for name in sorted(PRESETS):
+        arg = ["3"] if name == "example-delta-p" else []
+        status, out, err = run(capsys, "reproduce", name, *arg, "--regen-golden")
+        assert (status, err) == (0, "")
+        assert out == (tmp_path / f"{'-'.join([name, *arg])}.json").read_text()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == shipped
+    assert {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()} == shipped
+
+
+# The RunConfig each table step was built as before presets became argv, with p = 3.
+HAND_BUILT_STEPS = {
+    "multi (2,3) on 4-words": RunConfig(
+        "check", rule="spacing(dyadic())", vector=(2, 3), wordlen=4, horizon=20000
+    ),
+    "delta (1,2) centered 3-words": RunConfig(
+        "check", rule="tripleratio(3)", vector=(1, 2), delta=True, wordlen=3, horizon=10**4
+    ),
+    "delta (1,3) on ones": RunConfig(
+        "check", rule="tripleratio(3)", vector=(1, 3), delta=True, wordlen=1, horizon=10**6
+    ),
+    "hitting equals entering differences": RunConfig(
+        "verify", rule="full()", prop="nuv", point="champernowne", pointlen=8,
+        wordlen=3, horizon=4096, hcmp=512,
+    ),
+    "full shift: thick differences": RunConfig(
+        "diagnose", rule="full()", point="champernowne", pointlen=13,
+        family="nabla(thick(16))", wordlen=2, horizon=10**5,
+    ),
+    "evens: no 2-run in differences": RunConfig(
+        "diagnose", rule="spacing(evens())", point="greedy", pointlen=8,
+        spacer_max=64, family="nabla(thick(2))", wordlen=1, horizon=644,
+    ),
+    "full shift a=(1,2,3)": RunConfig(
+        "verify", rule="full()", prop="orbit-closure", vector=(1, 2, 3),
+        wordlen=2, horizon=10**4,
+    ),
+    "dyadic a=(2,3)": RunConfig(
+        "verify", rule="spacing(dyadic())", prop="orbit-closure", vector=(2, 3),
+        wordlen=1, horizon=10**4,
+    ),
+    "product a=(2,5), n=2": RunConfig(
+        "verify", rule="full()", prop="delta-product", vector=(2, 5), depth=2,
+        wordlen=2, horizon=10**4,
+    ),
+    "product a=(1,2), n=3": RunConfig(
+        "verify", rule="full()", prop="delta-product", vector=(1, 2), depth=3,
+        wordlen=2, horizon=10**4,
+    ),
+    "fixed point: syndetic carriers": RunConfig(
+        "diagnose", rule="full()", point="periodic:0", family="fsa(1,2,3;2,1)",
+        wordlen=1, horizon=100, cylinders=("0",),
+    ),
+}
+
+
+TABLE_STEPS = [  # (preset, step name, argv) of every table row, with p = 3
+    (preset, name.format(p=3), argv.format(p=3).split())
+    for preset, rows in PRESET_STEPS.items()
+    for name, _, argv in rows
+]
+
+
+def test_each_step_argv_parses_to_the_config_it_replaced():
+    from shiftlab.cli import _config_from_args, build_parser
+
+    def fields(config):
+        return {name: getattr(config, name) for name in config._fields}
+
+    parser = build_parser()
+    assert sorted(name for _, name, _ in TABLE_STEPS) == sorted(HAND_BUILT_STEPS)
+    for _, name, argv in TABLE_STEPS:
+        parsed = _config_from_args(parser.parse_args(argv))
+        want = fields(HAND_BUILT_STEPS[name])
+        if parsed.prop in ("orbit-closure", "delta-product"):
+            # the one difference: argparse fills verify's --point, which these
+            # two properties never read, where the hand-built config left None
+            assert (parsed.point, want["point"]) == ("greedy", None)
+            want["point"] = "greedy"
+        assert fields(parsed) == want
+
+
+@pytest.mark.parametrize(
+    "preset,name,argv", TABLE_STEPS, ids=[f"{p}/{n}" for p, n, _ in TABLE_STEPS]
+)
+def test_each_table_step_reruns_alone(capsys, preset, name, argv):
+    golden_name = "example-delta-p-3" if preset == "example-delta-p" else preset
+    golden = json.loads((GOLDEN_DIR / f"{golden_name}.json").read_text())
+    (step,) = [s for s in golden["witnesses"] if s["step"] == name]
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    for key in ("verdict", "witnesses", "certificates", "tuples_checked"):
+        assert report[key] == step[key]
 
 
 def test_preset_registry_complete():
