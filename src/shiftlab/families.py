@@ -31,6 +31,7 @@ has its double in the set).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -289,19 +290,34 @@ def _check_grid_shape(a: Sequence[int], grid: GridParams) -> None:
         )
 
 
+def _reach(h: int, a: Sequence[int], cell: Sequence[int]) -> int:
+    """The largest m with every m*a_i + n_i inside the window [0, h)."""
+    return min((h - 1 - ni) // ai for ai, ni in zip(a, cell))
+
+
+def _carrier(mask: np.ndarray, a: Sequence[int], cell: Sequence[int], m: int) -> np.ndarray:
+    """B(n) on [1, m] as a bool row (entry k - 1 for k), the AND of one strided
+    slice of the mask per coordinate; with one coordinate it is a view, so only read it."""
+    if m < 1:
+        return np.zeros(0, dtype=bool)
+    slices = [mask[ai + ni : ai * m + ni + 1 : ai] for ai, ni in zip(a, cell)]
+    return functools.reduce(np.logical_and, slices)
+
+
 def _grid_scan(
     s: WindowedSet,
     a: Sequence[int],
     grid: GridParams,
     rule: SetRule | None,
     probe: Callable[[tuple[int, ...]], tuple[int | None, dict | None, bool]],
-) -> tuple[WindowReport | None, list[tuple[tuple[int, ...], int]]]:
+) -> tuple[WindowReport | None, int, list[list] | None]:
     """Scan the cells of [0, nmax]^r in order, up to the deciding one.
 
     ``probe(cell)`` gives (value, None, False) for a witnessed cell and
     (None, info, empty) for a failing one; an empty cell is refuted when a
     structural certificate excludes it.  Returns the Refuted or Undetermined
-    report, or None and every cell's (cell, value) when all are witnessed.
+    report, or None, the largest value and, on grids of at most 512 cells,
+    every ``[cell, value]`` when all cells are witnessed.
     The first structural cell decides; so does the first failing cell when
     the rule has no congruence or doubling analyzer (no cell is structural).
     """
@@ -310,7 +326,7 @@ def _grid_scan(
         else (congruence_structures(rule), doubling_free_certificate(rule))
     )
     unrefutable = not congruences and doubling is None
-    values: list[tuple[tuple[int, ...], int]] = []
+    best, witnesses = 0, [] if (grid.nmax + 1) ** len(a) <= 512 else None
     structural: tuple[tuple[int, ...], dict] | None = None
     failing: tuple[tuple[int, ...], dict] | None = None
     for cell in itertools.product(range(grid.nmax + 1), repeat=len(a)):
@@ -321,19 +337,21 @@ def _grid_scan(
         if cert is not None:
             structural = (cell, cert)
         elif info is None:
-            values.append((cell, value))
+            best = max(best, value)
+            if witnesses is not None:
+                witnesses.append([list(cell), value])
         elif failing is None:
             failing = (cell, info)
     if structural is not None:
         cell, cert = structural
         witness = {"cell": list(cell), "vector": list(a)}
-        return WindowReport(REFUTED, witness, s.horizon, PROOF, certificate=cert), values
+        return WindowReport(REFUTED, witness, s.horizon, PROOF, certificate=cert), best, witnesses
     if failing is not None:
         cell, info = failing
         tag = HOLDS_ON_WINDOW if info["reason"] == "horizon-limited" else REFUTED_ON_WINDOW
         witness = dict(info, cell=list(cell), vector=list(a))
-        return WindowReport(UNDETERMINED, witness, s.horizon, tag), values
-    return None, values
+        return WindowReport(UNDETERMINED, witness, s.horizon, tag), best, witnesses
+    return None, best, witnesses
 
 
 def fa_grid_report(
@@ -357,45 +375,25 @@ def fa_grid_report(
     if grid.kmax < 1:
         raise ConfigError("kmax must be >= 1 for the k search")
     h, mask, span = s.horizon, s.mask, grid.nmax + 1
-    # k*max(a) + n stays in the window only for k <= (h - 1) // max(a), so no
-    # cell is known at any k past that: the tables stop there
+    # k*max(a) + n stays in the window only for k <= (h - 1) // max(a), so the
+    # cells read at most that many k per coordinate and offset
     rows = min(grid.kmax, (h - 1) // max(a))
     if rows * span > DEFAULT_CELL_CAP:
-        raise CapExceeded(f"k tables of {rows} x {span} entries exceed cap {DEFAULT_CELL_CAP}")
-    ok_tables, known_tables = [], []
-    for ai in a:
-        ok = np.zeros((rows, span), dtype=bool)
-        known = np.zeros((rows, span), dtype=bool)
-        for v in range(span):
-            k_hi = min(rows, (h - 1 - v) // ai)
-            if k_hi >= 1:
-                ok[:k_hi, v] = mask[ai + v : ai * k_hi + v + 1 : ai]
-                known[:k_hi, v] = True
-        ok_tables.append(ok)
-        known_tables.append(known)
+        raise CapExceeded(f"{rows} x {span} (k, offset) entries exceed cap {DEFAULT_CELL_CAP}")
 
     def probe(cell: tuple[int, ...]) -> tuple[int | None, dict | None, bool]:
-        ok = np.ones(rows, dtype=bool)
-        known = np.ones(rows, dtype=bool)
-        for i, v in enumerate(cell):
-            ok &= ok_tables[i][:, v]
-            known &= known_tables[i][:, v]
-        hit = np.flatnonzero(ok & known)
+        m_eff = _reach(h, a, cell)
+        hit = np.flatnonzero(_carrier(mask, a, cell, min(grid.kmax, m_eff)))
         if hit.size:
             return int(hit[0]) + 1, None, False
-        complete = rows == grid.kmax and bool(known.all())
-        return None, {"reason": "no-witness" if complete else "horizon-limited"}, True
+        return None, {"reason": "no-witness" if m_eff >= grid.kmax else "horizon-limited"}, True
 
-    report, witnesses = _grid_scan(s, a, grid, rule, probe)
+    report, max_k, witnesses = _grid_scan(s, a, grid, rule, probe)
     if report is not None:
         return report
-    payload: dict = {
-        "cells": len(witnesses),
-        "max_k": max(k for _, k in witnesses),
-        "vector": list(a),
-    }
-    if len(witnesses) <= 512:
-        payload["witnesses"] = [[list(c), k] for c, k in witnesses]
+    payload: dict = {"cells": span ** len(a), "max_k": max_k, "vector": list(a)}
+    if witnesses is not None:
+        payload["witnesses"] = witnesses
     return WindowReport(WITNESSED, payload, h, HOLDS_ON_GRID)
 
 
@@ -463,13 +461,10 @@ def fsa_grid_report(
     g, h, mask = grid.g, s.horizon, s.mask
 
     def probe(cell: tuple[int, ...]) -> tuple[int | None, dict | None, bool]:
-        m_eff = min((h - 1 - ni) // ai for ai, ni in zip(a, cell))
+        m_eff = _reach(h, a, cell)
         if m_eff < 1:
             return None, {"reason": "horizon-limited"}, False
-        b_mask = np.ones(m_eff, dtype=bool)
-        for ai, ni in zip(a, cell):
-            b_mask &= mask[ai + ni : ai * m_eff + ni + 1 : ai]
-        members = np.flatnonzero(b_mask) + 1
+        members = np.flatnonzero(_carrier(mask, a, cell, m_eff)) + 1
         if members.size == 0:
             return None, {"reason": "empty-on-window"}, True
         gap = _syndetic_gap(members, m_eff + 1, g)
@@ -478,15 +473,11 @@ def fsa_grid_report(
         worst = int(np.diff(members).max()) if members.size > 1 else 0
         return max(worst, int(members[0])), None, False
 
-    report, gaps = _grid_scan(s, a, grid, rule, probe)
+    report, max_gap, _ = _grid_scan(s, a, grid, rule, probe)
     if report is not None:
         return report
-    return WindowReport(
-        WITNESSED,
-        {"cells": len(gaps), "max_gap": max(gap for _, gap in gaps), "g": g, "vector": list(a)},
-        h,
-        HOLDS_ON_GRID,
-    )
+    payload = {"cells": (grid.nmax + 1) ** len(a), "max_gap": max_gap, "g": g, "vector": list(a)}
+    return WindowReport(WITNESSED, payload, h, HOLDS_ON_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +494,16 @@ def finfty_grid_report(
     """Conjunction over the staircase vectors (1), (1,2), ..., (1,...,m_max).
 
     The overall verdict is the weakest level verdict; the first level
-    attaining it is reported.  A staircase whose k tables and cells, summed
-    over its levels, exceed the cell cap is refused before the first level.
+    attaining it is reported.  A staircase whose cells and (k, offset)
+    entries per coordinate, summed over its levels, exceed the cell cap is
+    refused before the first level.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be >= 1")
     if which not in ("fa", "fsa"):
         raise ConfigError(f"unknown variant {which!r}")
-    # level i: i k tables and (nmax+1)^i cells; with nmax 0 only the tables grow (as m_max^2)
+    # level i: i coordinates of k x offset entries and (nmax+1)^i cells; with
+    # nmax 0 only the entries grow (as m_max^2)
     span, work = grid.nmax + 1, 0
     for i in range(1, m_max + 1):
         work += i * (1 + min(grid.kmax, (s.horizon - 1) // i) * span) + span**i

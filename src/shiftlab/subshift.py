@@ -304,12 +304,11 @@ class HitAnalysis(Record):
     ``pair_constraints`` are (coef, delta) pairs: for every n past the
     stabilization threshold, membership requires gap coef*n + delta to be
     allowed.  ``all_n_triples`` are triple-law exclusions valid for every
-    such n; ``constant_violations`` hold at every n >= 1.
+    such n.
     """
 
     n_star: int
     pair_constraints: tuple[tuple[int, int], ...]
-    constant_violations: tuple[str, ...]
     all_n_triples: tuple[tuple[int, ...], ...]
 
 
@@ -343,7 +342,8 @@ def _validate_placements(
     """Check a batch's placements once, each distinct rows array once."""
     if not placements:
         raise PreconditionError("at least one placement required")
-    if min(coef for coef, _, _ in placements) < 0:
+    coefs = [coef for coef, _, _ in placements]
+    if min(coefs) < 0:
         raise PreconditionError("placement coefficients must be >= 0")
     checked = set()
     for _, offset, rows in placements:
@@ -356,8 +356,10 @@ def _validate_placements(
                 raise PreconditionError(
                     f"cylinder word {row_texts(rows[bad[:1]])[0]} is not admissible"
                 )
-    if not any(coef for coef, _, _ in placements):
+    if not any(coefs):
         raise PreconditionError("at least one placement must move with n")
+    if len(set(coefs)) < len(coefs):
+        raise PreconditionError("placements must move at distinct coefficients")
 
 
 def _strike(ok: np.ndarray, lo: int, num: np.ndarray, coef: np.ndarray | int) -> None:
@@ -416,7 +418,7 @@ def hitting_batches(
 
     Placement j is ``(coef, offset, rows)``, with ``rows`` a (W, l) bool array
     of words; row t of ``tuples`` places ``rows[tuples[t, j]]`` at
-    ``offset + coef * n``.  Yields
+    ``offset + coef * n``, each placement at its own coefficient.  Yields
     ``(start, masks, analysis)``: ``masks[i]`` is the window over [0, H] of
     tuple ``start + i`` (n such that the superposition at n is admissible;
     exact by zero-fill) and ``analysis(i)`` its HitAnalysis.  The masks share
@@ -428,11 +430,10 @@ def hitting_batches(
     _validate_placements(rule, placements)
     template = [(int(coef), int(offset), rows.shape[1]) for coef, offset, rows in placements]
     ratio = rule.ratio
-    # past n_star groups with different coefficients are disjoint and ordered
+    # past n_star the placed words are disjoint and in coefficient order
     n_star = 1
     for (ci, oi, li), (cj, oj, _) in itertools.combinations(sorted(template), 2):
-        if ci < cj:
-            n_star = max(n_star, (oi + li - 1 - oj) // (cj - ci) + 1)
+        n_star = max(n_star, (oi + li - 1 - oj) // (cj - ci) + 1)
     n_star = min(n_star, h)
 
     # n <= n_star: the rows are superposed densely; only the gaps two placed
@@ -448,17 +449,16 @@ def hitting_batches(
 
     # n > n_star: merged 1-positions are (coef, offset) candidates in position
     # order.  Whether a tuple has a tail constraint (coef, delta), a point
-    # exclusion, a forbidden fixed gap or an all-n triple depends only on the
-    # candidates it holds: each is a group of candidate triples (a pair
-    # repeats its second index), present when one triple is held in full.
+    # exclusion or an all-n triple depends only on the candidates it holds:
+    # each is a group of candidate triples (a pair repeats its second index),
+    # present when one triple is held in full.  Two 1s of one word keep a
+    # fixed gap, which the word's own admissibility allows.
     cand = sorted({(c, o + x) for c, o, l in template for x in range(l)})
     cols = [[cand.index((c, o + x)) for x in range(l)] for c, o, l in template]
-    pairs, excluded, fixed, always = {}, {}, [], []
+    pairs, excluded, always = {}, {}, []
     for (i, (c1, q1)), (k, (c2, q2)) in itertools.combinations(enumerate(cand), 2):
         if c1 != c2:
             pairs.setdefault((c2 - c1, q2 - q1), []).append((i, k, k))
-        elif not rule.pair_mask(q2 - q1)[q2 - q1]:
-            fixed.append(((i, k, k), f"fixed gap {q2 - q1} between co-moving 1s is forbidden"))
     for (i, (c1, q1)), (k, (c2, q2)), (m, (c3, q3)) in itertools.combinations(
         enumerate(cand) if ratio else (), 3
     ):
@@ -471,15 +471,10 @@ def hitting_batches(
             excluded.setdefault((-inter) // slope, []).append((i, k, m))
     items, points = sorted(pairs), sorted(excluded)
     groups = [pairs[x] for x in items] + [excluded[n] for n in points]
-    groups += [[t] for t, _ in fixed + always]
+    groups += [[t] for t, _ in always]
     item_c, item_d = np.array(items, dtype=np.int64).reshape(-1, 2).T
     points = np.array(points, dtype=np.int64)
-    n_need = len(items) + len(points)  # columns that set the tail; then fixed, always
-    clashes = []  # co-moving cylinders with overlapping spans: their offsets into it
-    for (j, (cj, oj, lj)), (k, (ck, ok, lk)) in itertools.combinations(enumerate(template), 2):
-        left, right = max(oj, ok), min(oj + lj, ok + lk)
-        if cj == ck and left < right:
-            clashes.append((j, k, left - oj, left - ok, right - left))
+    n_need = len(items) + len(points)  # columns that set the tail; then always
 
     lo = n_star + 1
     # tails differ only by exclusions and constraints that reach a forbidden gap
@@ -508,14 +503,9 @@ def hitting_batches(
         for col, w in zip(cols, placed):
             held[:, col] |= w
         present = _present(held, groups)
-        need, bad_gaps = present[:, :n_need], present[:, n_need : n_need + len(fixed)]
-        triples = present[:, n_need + len(fixed) :]
-        clash = np.zeros((len(idx), len(clashes)), dtype=bool)
-        for x, (j, k, a, b, span) in enumerate(clashes):
-            clash[:, x] = (placed[j][:, a : a + span] != placed[k][:, b : b + span]).any(axis=1)
-        dead = bad_gaps.any(axis=1) | clash.any(axis=1)
+        need, triples = present[:, :n_need], present[:, n_need:]
         # one affine window per distinct set of reaching constraints and exclusions
-        live = np.flatnonzero(~dead & ~triples.any(axis=1)) if lo <= h else []
+        live = np.flatnonzero(~triples.any(axis=1)) if lo <= h else []
         keys, inverse = unique_rows(need[live][:, key_cols])
         for g, key in enumerate(keys):
             group = live[inverse == g]
@@ -525,15 +515,12 @@ def hitting_batches(
             affine_gap_window(rule, item_c[c], item_d[c], lo, tail, points[e])
             if len(group) > 1:  # (an empty fancy assignment still copies ``tail``)
                 masks[group[1:], lo:] = tail
-        masks[dead] = False
 
         # binds this chunk's presence rows: the caller may read them later
-        def analysis(i: int, need=need, bad_gaps=bad_gaps, clash=clash, triples=triples):
+        def analysis(i: int, need=need, triples=triples):
             return HitAnalysis(
                 n_star,
                 tuple(itertools.compress(items, need[i])),
-                tuple(msg for (_, msg), on in zip(fixed, bad_gaps[i]) if on)
-                + ("co-moving cylinders clash 1-vs-0",) * int(clash[i].sum()),
                 tuple(t for (_, t), on in zip(always, triples[i]) if on),
             )
 
@@ -561,9 +548,9 @@ def emptiness_certificate(
     """Upgrade an empty window to a proof of emptiness for every n >= 1.
 
     Sound when the window is empty, covers the stabilization range, and a
-    structural reason excludes all larger n: a doubling pair of necessary
-    gaps against a doubling-free spacing set (parity law), an identically
-    forbidden gap-pair (triple law), or an n-independent clash.
+    structural reason excludes all larger n: an identically forbidden
+    gap-pair (triple law), or a doubling pair of necessary gaps against a
+    doubling-free spacing set (parity law).
     """
     if len(window):
         return None
@@ -571,13 +558,6 @@ def emptiness_certificate(
     if any(a.n_star > h for a in items):
         return None
 
-    for a in items:
-        if a.constant_violations:
-            return {
-                "name": "constant-gap",
-                "statement": a.constant_violations[0],
-                "checked_horizon": h,
-            }
     for a in items:
         if a.all_n_triples:
             c1, q1, c2, q2, c3, q3 = a.all_n_triples[0]

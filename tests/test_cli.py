@@ -995,7 +995,7 @@ def test_huge_kmax_is_sized_by_the_window():
 @pytest.mark.parametrize("m_max", [2000, 100000])
 def test_finfty_staircase_over_the_cap_exits_2_within_a_second(m_max):
     # with Nmax 0 every level is one cell, so no level's grid reaches the cap,
-    # yet each level i still builds i k tables: the staircase costs ~m_max^2 / 2
+    # yet the cap charges level i for each of its i coordinates: ~m_max^2 / 2 in all
     probe = (
         "import sys, time; from shiftlab.cli import main; start = time.perf_counter(); "
         "status = main(sys.argv[1:]); print(status, time.perf_counter() - start < 1)"

@@ -277,14 +277,14 @@ def test_fa_validation():
     with pytest.raises(ConfigError):
         fa_grid_report(s, (1,), GridParams(kmax=0))
     with pytest.raises(CapExceeded):
-        # 101^3 = 1,030,301 cells: refused before any table is allocated
+        # 101^3 = 1,030,301 cells: refused before any cell is read
         fa_grid_report(s, (1, 1, 1), GridParams(nmax=100, kmax=1))
     with pytest.raises(ConfigError):
         GridParams(nmax=-1)
 
 
 def test_fa_tables_are_sized_by_the_window():
-    # no k past (h - 1) // max(a) lands in the window, so kmax beyond it allocates nothing
+    # no k past (h - 1) // max(a) lands in the window, so kmax beyond it reads nothing more
     s = materialize(NATS_RULE, 50)
     huge = fa_grid_report(s, (1, 2), GridParams(nmax=2, kmax=10**30))
     assert huge == fa_grid_report(s, (1, 2), GridParams(nmax=2, kmax=24))
@@ -450,6 +450,21 @@ def _oracle_fsa(s, a, grid, rule):
     )
 
 
+def _oracle_finfty(s, m_max, grid, rule, level):
+    """finfty_grid_report assembled from one oracle report per staircase level."""
+    levels = [level(s, tuple(range(1, i + 1)), grid, rule) for i in range(1, m_max + 1)]
+    rank = [REFUTED, UNDETERMINED, WITNESSED].index
+    deciding = min(range(m_max), key=lambda i: rank(levels[i].verdict))  # the first weakest
+    worst = levels[deciding]
+    payload = {
+        "levels": [rep.verdict for rep in levels],
+        "deciding_level": deciding + 1,
+        "detail": worst.witness,
+    }
+    tag = HOLDS_ON_GRID if worst.verdict == WITNESSED else worst.interpretation
+    return WindowReport(worst.verdict, payload, s.horizon, tag, worst.certificate)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     bits=st.lists(st.booleans(), min_size=1, max_size=40),
@@ -472,6 +487,10 @@ def test_grid_reports_match_per_cell_oracle(bits, complete, rule, a, nmax, kmax,
     grid = GridParams(nmax=nmax, kmax=kmax, g=g)
     assert fa_grid_report(s, a, grid, rule=rule) == _oracle_fa(s, a, grid, rule)
     assert fsa_grid_report(s, a, grid, rule=rule) == _oracle_fsa(s, a, grid, rule)
+    # a staircase of len(a) levels, each level read from the per-cell oracle
+    for which, level in (("fa", _oracle_fa), ("fsa", _oracle_fsa)):
+        got = finfty_grid_report(s, len(a), grid, which=which, rule=rule)
+        assert got == _oracle_finfty(s, len(a), grid, rule, level)
 
 
 # ---------------------------------------------------------------------------

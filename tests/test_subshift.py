@@ -268,32 +268,21 @@ def test_long_configuration_admissibility_matches_oracle(name, ones):
 
 
 # ---------------------------------------------------------------------------
-# superposition: cylinders placed at one coefficient move together
+# placements move at distinct coefficients
 
 
-def test_co_moving_placements_superpose():
-    # feasible unless one cylinder places a 1 on a 0 of another
-    for cyls in ([cyl("10"), cyl("01", 2)], [cyl("101"), cyl("10", 2)]):
-        window, analysis = linear_hitting(TR3, [(1, c) for c in cyls], 8)
-        assert tuple(window) == tuple(range(1, 9)) and not analysis.constant_violations
-    window, analysis = linear_hitting(FULL, [(1, cyl("1")), (1, cyl("0"))], 8)
-    assert tuple(window) == ()
-    assert analysis.constant_violations == ("co-moving cylinders clash 1-vs-0",)
+@pytest.mark.parametrize("coefs", [(1, 1), (0, 0, 1), (0, 2, 2), (0, 1, 0)])
+def test_placements_at_one_coefficient_are_refused(coefs):
+    rows = np.array([[True], [False]])
+    placements = [(c, 0, rows) for c in coefs]
+    with pytest.raises(PreconditionError, match="distinct coefficients"):
+        next(subshift.hitting_batches(FULL, placements, [[0] * len(coefs)], 8))
+    with pytest.raises(PreconditionError, match="distinct coefficients"):
+        linear_hitting(FULL, [(c, cyl("1")) for c in coefs], 8)
+    with pytest.raises(PreconditionError, match="distinct coefficients"):
+        linear_hitting(TR3, [(c, cyl("10", -1)) for c in coefs], 8)
     with pytest.raises(PreconditionError):
         linear_hitting(FULL, [], 8)
-
-
-def test_co_moving_placements_zero_fill_gap():
-    # the positions between the forced 1s stay 0: only the gap 5 is read
-    window, _ = linear_hitting(TR3, [(1, cyl("1", -2)), (1, cyl("1", 3))], 8)
-    assert tuple(window) == tuple(range(1, 9))
-    # fixed gaps are listed before clashes: here 1s 3 apart, and "1" on the 0 of "0001"
-    window, analysis = linear_hitting(EVENS, [(1, cyl("1")), (1, cyl("0001"))], 8)
-    assert tuple(window) == ()
-    assert analysis.constant_violations == (
-        "fixed gap 3 between co-moving 1s is forbidden",
-        "co-moving cylinders clash 1-vs-0",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +449,6 @@ def test_delta_certificates():
     window, analysis = delta_window(EVENS, (1, 2), [cyl("101")] * 3, 7)
     if not len(window):
         assert emptiness_certificate(EVENS, window, analysis, 7) is None
-
-
-def test_constant_gap_certificate():
-    # co-moving cylinders at the same coefficient with a forbidden fixed gap
-    window, analysis = delta_window(
-        EVENS, (2, 2), [cyl("1"), cyl("1"), cyl("001")], 30
-    )
-    assert tuple(window) == ()
-    cert = emptiness_certificate(EVENS, window, analysis, 30)
-    assert cert is not None and cert["name"] == "constant-gap"
 
 
 # ---------------------------------------------------------------------------
